@@ -5,7 +5,7 @@ from fractions import Fraction
 
 import pytest
 
-from chevloops import GF, Poly, PolyRing, QQ, poly_divmod, poly_eval
+from chevloops import GF, Poly, PolyRing, QQ, poly_divmod
 
 
 def _sample(field, rng, count):
@@ -124,15 +124,15 @@ def test_poly_eval_examples():
     ring = PolyRing(QQ, ("T",))
     t = ring.gen("T")
     f = t * (1 - t)
-    assert poly_eval(f, {"T": 1}) == 0
-    assert poly_eval(f, {"T": Fraction(1, 2)}) == Fraction(1, 4)
+    assert f.evaluate({"T": 1}) == 0
+    assert f.evaluate({"T": Fraction(1, 2)}) == Fraction(1, 4)
 
 
 def test_poly_eval_partial_assignment():
     ring = PolyRing(QQ, ("X", "Y"))
     x, y = ring.gens()
     f = x * y + y ** 2
-    g = poly_eval(f, {"X": 2})
+    g = f.evaluate({"X": 2})
     assert g.ring.variables == ("Y",)
     yy = g.ring.gen("Y")
     assert g == 2 * yy + yy ** 2
@@ -147,10 +147,10 @@ def test_poly_eval_is_a_homomorphism():
         g = Poly(ring, {(rng.randint(0, 4),): Fraction(rng.randint(-5, 5))
                         for _ in range(3)})
         t0 = Fraction(rng.randint(-6, 6), rng.randint(1, 6))
-        assert poly_eval(f * g, {"T": t0}) == \
-            poly_eval(f, {"T": t0}) * poly_eval(g, {"T": t0})
-        assert poly_eval(f + g, {"T": t0}) == \
-            poly_eval(f, {"T": t0}) + poly_eval(g, {"T": t0})
+        assert (f * g).evaluate({"T": t0}) == \
+            f.evaluate({"T": t0}) * g.evaluate({"T": t0})
+        assert (f + g).evaluate({"T": t0}) == \
+            f.evaluate({"T": t0}) + g.evaluate({"T": t0})
 
 
 def test_no_zero_terms_are_stored():
@@ -172,3 +172,36 @@ def test_poly_substitute_preserves_products():
     mapping = {"X": t + 1, "Y": t * t}
     assert (f * g).substitute(mapping, dst) == \
         f.substitute(mapping, dst) * g.substitute(mapping, dst)
+
+
+def test_construction_coerces_coefficients_into_the_base_field():
+    ring = PolyRing(GF(7), ("T",))
+    a = Poly(ring, {(1,): 3})
+    b = ring.gen("T") * 3
+    assert a == b
+    assert hash(a) == hash(b)
+    assert len({a, b}) == 1
+    assert str(a * a) == "2*T^2"
+    multi = PolyRing(GF(7), ("X", "Y"))
+    assert Poly(multi, {(1, 0): 10}) == 3 * multi.gen("X")
+
+
+def test_construction_refuses_float_coefficients():
+    with pytest.raises(ValueError):
+        Poly(PolyRing(QQ, ("T",)), {(1,): 0.5})
+    with pytest.raises(ValueError):
+        Poly(PolyRing(QQ, ("X", "Y")), {(1, 0): 0.5})
+
+
+def test_construction_refuses_coefficients_of_another_field():
+    with pytest.raises(ValueError):
+        Poly(PolyRing(GF(7), ("T",)), {(1,): GF(5)(2)})
+    with pytest.raises(ValueError):
+        Poly(PolyRing(GF(7), ("X", "Y")), {(0, 1): GF(5)(2)})
+
+
+def test_construction_refuses_bad_exponents_in_one_variable():
+    ring = PolyRing(QQ, ("T",))
+    for exp in [(-1,), (1, 0), 2]:
+        with pytest.raises(ValueError):
+            Poly(ring, {exp: 1})
