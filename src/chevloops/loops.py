@@ -25,10 +25,10 @@ _PATH_RINGS: dict = {}
 
 def path_ring(field) -> PolyRing:
     """k[T], cached so paths over the same field share one ring object."""
-    ring = _PATH_RINGS.get(id(field))
+    ring = _PATH_RINGS.get(field)
     if ring is None:
         ring = PolyRing(field, ("T",))
-        _PATH_RINGS[id(field)] = ring
+        _PATH_RINGS[field] = ring
     return ring
 
 

@@ -805,57 +805,65 @@ class Poly:
             v = v * t + x
         return v
 
-    def substitute(self, mapping: dict, target: PolyRing) -> "Poly":
-        """Map every variable to a value in ``target`` (scalars or Polys)."""
+    def substitute(self, mapping: dict, target: PolyRing,
+                   memo: dict | None = None) -> "Poly":
+        """Map every variable to a value in ``target`` (scalars or Polys).
+
+        On a term-dict source the image of each monomial is built once:
+        values that are single monomials with coefficient one (such as
+        X_j -> X_{j+1}) shift exponent vectors, and only the other values
+        get power ladders.  ``memo`` maps source exponent vectors to
+        their images under this one mapping and target; it persists
+        across calls and is emptied whenever it would grow past
+        ``SUBSTITUTE_MEMO_LIMIT`` entries.
+        """
         if target.base is not self.ring.base:
             raise ValueError("substitution must preserve the coefficient field")
-        vs = self.ring.variables
-        vals = {}
-        for v in vs:
+        vals = []
+        for v in self.ring.variables:
             if v not in mapping:
                 raise ValueError(f"no value for variable {v}")
-            vals[v] = target(mapping[v])
+            vals.append(target(mapping[v]))
         if self.ring._kind is not None:
             # Horner's rule in the target ring
             c = self._c
             if not c:
                 return target.zero
-            x = vals[vs[0]]
+            x = vals[0]
             acc = target(self._scalar(c[-1]))
             for k in range(len(c) - 2, -1, -1):
                 acc = acc * x
                 if c[k]:
                     acc = acc + target(self._scalar(c[k]))
             return acc
-        max_pow = dict.fromkeys(vs, 0)
+        if memo is None:
+            memo = {}
+        image = None        # built on the first memo miss
+        images = []
         for e in self._c:
-            for v, k in zip(vs, e):
-                if k > max_pow[v]:
-                    max_pow[v] = k
-        powers = {}
-        for v in vs:
-            ladder = [target.one]
-            for _ in range(max_pow[v]):
-                ladder.append(ladder[-1] * vals[v])
-            powers[v] = ladder
-        dense = target._kind is not None
-        acc, out = target.zero, {}
-        zero = target.base.zero
-        for e, c in self._c.items():
-            term = target(c)
-            for v, k in zip(vs, e):
-                if k:
-                    term = term * powers[v][k]
-            if dense:
-                acc = acc + term
-                continue
-            for te, tc in term._c.items():
-                s = out.get(te, zero) + tc
-                if s == zero:
-                    out.pop(te, None)
-                else:
-                    out[te] = s
-        return acc if dense else _poly(target, out)
+            img = memo.get(e)
+            if img is None:
+                if image is None:
+                    image = _monomial_images(vals, target)
+                img = image(e)
+                if len(memo) >= SUBSTITUTE_MEMO_LIMIT:
+                    memo.clear()
+                memo[e] = img
+            images.append(img)
+        if target._kind is not None:
+            acc = target.zero
+            for img, c in zip(images, self._c.values()):
+                acc = acc + img * c
+            return acc
+        out: dict = {}
+        get = out.get
+        one = target.base.one
+        for img, c in zip(images, self._c.values()):
+            for te, tc in img._c.items():
+                tc = c if tc is one else c * tc
+                s = get(te)
+                out[te] = tc if s is None else s + tc
+        return _poly(target, {te: tc for te, tc in out.items() if tc})
 
     def __str__(self):
         terms = self.terms
@@ -891,6 +899,57 @@ def _poly(ring: PolyRing, c, d: int = 1) -> Poly:
     f._d = d
     f._hash = None
     return f
+
+
+# Most monomial images one substitution memo keeps (see Poly.substitute).
+SUBSTITUTE_MEMO_LIMIT = 1024
+
+
+def _monomial_images(values: list, target: PolyRing):
+    """The function sending a source exponent vector to the image of that
+    monomial when source variable k takes ``values[k]`` in ``target``.
+
+    Over a term-dict target a value that is one monomial with coefficient
+    one adds a multiple of its exponent vector; every other value (and
+    every value over a dense target) multiplies in a lazily grown power
+    ladder.
+    """
+    shifts = []      # (source index, [(target index, exponent), ...])
+    ladders = []     # (source index, [1, v, v^2, ...])
+    multi = target._kind is None
+    one = target.base.one
+    for k, val in enumerate(values):
+        if multi and len(val._c) == 1:
+            (te, tc), = val._c.items()
+            if tc == one:
+                shifts.append((k, [(j, a) for j, a in enumerate(te) if a]))
+                continue
+        ladders.append((k, [target.one, val]))
+    width = len(target.variables)
+
+    def image(e) -> Poly:
+        img = None
+        for k, ladder in ladders:
+            n = e[k]
+            if n:
+                while len(ladder) <= n:
+                    ladder.append(ladder[-1] * ladder[1])
+                img = ladder[n] if img is None else img * ladder[n]
+        if img is None:
+            img = target.one
+        if not shifts:
+            return img
+        s = [0] * width
+        for k, moves in shifts:
+            n = e[k]
+            if n:
+                for j, a in moves:
+                    s[j] += n * a
+        if not any(s):
+            return img
+        return _poly(target, {tuple([x + y for x, y in zip(te, s)]): tc
+                              for te, tc in img._c.items()})
+    return image
 
 
 def poly_divmod(f: Poly, g: Poly) -> tuple[Poly, Poly]:

@@ -12,6 +12,7 @@ values always serialize to identical documents.
 from __future__ import annotations
 
 from fractions import Fraction
+from math import comb
 
 from .chevalley import GroupMatrix
 from .loops import PathMatrix
@@ -102,20 +103,25 @@ def scalar_from_json(ring, doc):
             return ring(doc)
         raise ValueError(f"bad finite-field encoding {doc!r}")
     if isinstance(ring, PolyRing):
-        if not isinstance(doc, list):
-            raise ValueError(f"bad polynomial encoding {doc!r}")
-        nvars = len(ring.variables)
-        terms = {}
-        for item in doc:
-            if not (isinstance(item, list) and len(item) == 2):
-                raise ValueError(f"bad polynomial term {item!r}")
-            exp, coeff = item
-            if not (isinstance(exp, list) and len(exp) == nvars
-                    and all(isinstance(k, int) and k >= 0 for k in exp)):
-                raise ValueError(f"bad exponent vector {exp!r}")
-            terms[tuple(exp)] = scalar_from_json(ring.base, coeff)
-        return Poly(ring, terms)
+        return Poly(ring, _terms_from_json(ring, doc))
     raise ValueError(f"cannot deserialize over {ring!r}")
+
+
+def _terms_from_json(ring: PolyRing, doc) -> dict:
+    """Exponent vector -> coefficient for one encoded polynomial."""
+    if not isinstance(doc, list):
+        raise ValueError(f"bad polynomial encoding {doc!r}")
+    nvars = len(ring.variables)
+    terms = {}
+    for item in doc:
+        if not (isinstance(item, list) and len(item) == 2):
+            raise ValueError(f"bad polynomial term {item!r}")
+        exp, coeff = item
+        if not (isinstance(exp, list) and len(exp) == nvars
+                and all(isinstance(k, int) and k >= 0 for k in exp)):
+            raise ValueError(f"bad exponent vector {exp!r}")
+        terms[tuple(exp)] = scalar_from_json(ring.base, coeff)
+    return terms
 
 
 # ---------------------------------------------------------------------------
@@ -184,6 +190,44 @@ def word_from_json(doc: dict) -> SteinbergWord:
 # simplices
 # ---------------------------------------------------------------------------
 
+# Largest level a simplex document may declare: the face maps of level n
+# are built in O(n^2).
+MAX_SIMPLEX_LEVEL = 64
+# Most terms the polynomials of one simplex document may have, counted as
+# C(deg + level, level) for each polynomial of total degree deg.  That
+# bounds the stored form (dense at level 1) and every face image, which
+# lives one level lower.
+MAX_SIMPLEX_TERMS = 5000
+
+
+def _simplex_level(doc: dict) -> int:
+    level = doc["level"]
+    if isinstance(level, bool) or not isinstance(level, int):
+        raise ValueError(f"simplex level must be an integer, got {level!r}")
+    if not 0 <= level <= MAX_SIMPLEX_LEVEL:
+        raise ValueError(f"simplex level {level} is outside 0.."
+                         f"{MAX_SIMPLEX_LEVEL} (MAX_SIMPLEX_LEVEL)")
+    return level
+
+
+def _simplex_polys(field, level: int, docs: list) -> list:
+    """The encoded polynomials of a simplex document, refused before any
+    is built when their term bound exceeds ``MAX_SIMPLEX_TERMS``."""
+    ring = simplex_ring(field, level)
+    terms = [_terms_from_json(ring, d) for d in docs]
+    bound = 0
+    for t in terms:
+        if t:
+            deg = max(map(sum, t))
+            bound += comb(min(deg, MAX_SIMPLEX_TERMS) + level, level)
+            if bound > MAX_SIMPLEX_TERMS:
+                raise ValueError(
+                    f"simplex document exceeds {MAX_SIMPLEX_TERMS} terms "
+                    f"(MAX_SIMPLEX_TERMS, counted as C(deg + level, level) "
+                    f"per polynomial) at level {level}, degree {deg}")
+    return [Poly(ring, t) for t in terms]
+
+
 def simplex_poly_to_json(sp: SimplexPoly) -> dict:
     ring = simplex_ring(sp.field, sp.level)
     return {
@@ -195,10 +239,10 @@ def simplex_poly_to_json(sp: SimplexPoly) -> dict:
 
 
 def simplex_poly_from_json(doc: dict) -> SimplexPoly:
+    level = _simplex_level(doc)
     field = parse_ring(doc["field"])
-    level = doc["level"]
-    ring = simplex_ring(field, level)
-    return SimplexPoly(field, level, scalar_from_json(ring, doc["poly"]))
+    poly, = _simplex_polys(field, level, [doc["poly"]])
+    return SimplexPoly(field, level, poly)
 
 
 def simplex_matrix_to_json(sm: SimplexMatrix) -> dict:
@@ -214,15 +258,17 @@ def simplex_matrix_to_json(sm: SimplexMatrix) -> dict:
 
 
 def simplex_matrix_from_json(doc: dict) -> SimplexMatrix:
+    level = _simplex_level(doc)
     field = parse_ring(doc["field"])
-    level = doc["level"]
-    ring = simplex_ring(field, level)
     n = doc["n"]
-    rows = [[scalar_from_json(ring, x) for x in row]
-            for row in doc["entries"]]
-    if len(rows) != n or any(len(r) != n for r in rows):
+    entries = doc["entries"]
+    if not (isinstance(entries, list) and len(entries) == n
+            and all(isinstance(r, list) and len(r) == n for r in entries)):
         raise ValueError("entry grid does not match declared size")
-    return SimplexMatrix(field, level, GroupMatrix(ring, rows))
+    flat = _simplex_polys(field, level, [x for row in entries for x in row])
+    rows = [flat[k * n:(k + 1) * n] for k in range(n)]
+    return SimplexMatrix(field, level,
+                         GroupMatrix(simplex_ring(field, level), rows))
 
 
 # ---------------------------------------------------------------------------

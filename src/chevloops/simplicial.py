@@ -29,7 +29,7 @@ def simplex_ring(field, level: int) -> PolyRing:
     """Canonical coordinate ring of the level-n simplex: k[X1, ..., Xn]."""
     if level < 0:
         raise ValueError("simplex level must be nonnegative")
-    key = (id(field), level)
+    key = (field, level)
     ring = _SIMPLEX_RINGS.get(key)
     if ring is None:
         ring = PolyRing(field, tuple(f"X{i}" for i in range(1, level + 1)))
@@ -93,11 +93,12 @@ class SimplexMatrix:
         return f"SimplexMatrix(level={self.level}, {self.matrix!r})"
 
 
+# (field, level, i, kind) -> (mapping, target ring, monomial-image memo)
 _MAPPING_CACHE: dict = {}
 
 
-def _face_mapping(field, level: int, i: int) -> tuple[dict, PolyRing]:
-    key = (id(field), level, i, "d")
+def _face_mapping(field, level: int, i: int) -> tuple[dict, PolyRing, dict]:
+    key = (field, level, i, "d")
     hit = _MAPPING_CACHE.get(key)
     if hit is not None:
         return hit
@@ -117,12 +118,13 @@ def _face_mapping(field, level: int, i: int) -> tuple[dict, PolyRing]:
             mapping[var] = x0
         else:
             mapping[var] = target.gen(f"X{j - 1}")
-    _MAPPING_CACHE[key] = (mapping, target)
-    return mapping, target
+    hit = _MAPPING_CACHE[key] = (mapping, target, {})
+    return hit
 
 
-def _degeneracy_mapping(field, level: int, i: int) -> tuple[dict, PolyRing]:
-    key = (id(field), level, i, "s")
+def _degeneracy_mapping(field, level: int,
+                        i: int) -> tuple[dict, PolyRing, dict]:
+    key = (field, level, i, "s")
     hit = _MAPPING_CACHE.get(key)
     if hit is not None:
         return hit
@@ -136,8 +138,8 @@ def _degeneracy_mapping(field, level: int, i: int) -> tuple[dict, PolyRing]:
             mapping[var] = target.gen(f"X{i}") + target.gen(f"X{i + 1}")
         else:
             mapping[var] = target.gen(f"X{j + 1}")
-    _MAPPING_CACHE[key] = (mapping, target)
-    return mapping, target
+    hit = _MAPPING_CACHE[key] = (mapping, target, {})
+    return hit
 
 
 def face(i: int, x):
@@ -147,12 +149,12 @@ def face(i: int, x):
         raise ValueError("faces need level >= 1")
     if not 0 <= i <= level:
         raise ValueError(f"face index {i} out of range for level {level}")
-    mapping, target = _face_mapping(x.field, level, i)
+    mapping, target, memo = _face_mapping(x.field, level, i)
     if isinstance(x, SimplexPoly):
         return SimplexPoly(x.field, level - 1,
-                           x.poly.substitute(mapping, target))
+                           x.poly.substitute(mapping, target, memo))
     if isinstance(x, SimplexMatrix):
-        rows = [[e.substitute(mapping, target) for e in row]
+        rows = [[e.substitute(mapping, target, memo) for e in row]
                 for row in x.matrix.rows]
         return SimplexMatrix(x.field, level - 1, GroupMatrix(target, rows))
     raise ValueError(f"cannot take faces of {x!r}")
@@ -163,12 +165,12 @@ def degeneracy(i: int, x):
     level = x.level
     if not 0 <= i <= level:
         raise ValueError(f"degeneracy index {i} out of range for level {level}")
-    mapping, target = _degeneracy_mapping(x.field, level, i)
+    mapping, target, memo = _degeneracy_mapping(x.field, level, i)
     if isinstance(x, SimplexPoly):
         return SimplexPoly(x.field, level + 1,
-                           x.poly.substitute(mapping, target))
+                           x.poly.substitute(mapping, target, memo))
     if isinstance(x, SimplexMatrix):
-        rows = [[e.substitute(mapping, target) for e in row]
+        rows = [[e.substitute(mapping, target, memo) for e in row]
                 for row in x.matrix.rows]
         return SimplexMatrix(x.field, level + 1, GroupMatrix(target, rows))
     raise ValueError(f"cannot take degeneracies of {x!r}")

@@ -1,6 +1,9 @@
 """CLI: JSON in, JSON out, deterministic bytes, exit-code contract."""
 
 import json
+import time
+
+import pytest
 
 import chevloops.cli as cli
 from chevloops import serialize
@@ -163,6 +166,68 @@ def test_verify_homotopy(tmp_path, capsys):
     assert code == 0
     assert doc["certified"] is True
     assert doc["faces"]["d1"]["entries"][0][1] == []
+
+
+def _timed_face(tmp_path, capsys, doc, i=0):
+    f = tmp_path / "sp.json"
+    f.write_text(json.dumps(doc))
+    t0 = time.perf_counter()
+    code, out = _run(capsys, ["simplicial-face", "--i", str(i), "--in",
+                              str(f)])
+    return code, out, time.perf_counter() - t0
+
+
+@pytest.mark.parametrize("level, poly, limit", [
+    (20000, [], "MAX_SIMPLEX_LEVEL"),
+    (-1, [], "MAX_SIMPLEX_LEVEL"),
+    (4, [[[120, 0, 0, 0], "1"]], "MAX_SIMPLEX_TERMS"),
+    (1, [[[10 ** 12], "1"]], "MAX_SIMPLEX_TERMS"),
+])
+def test_simplex_documents_over_a_limit_are_exit_2(tmp_path, capsys, level,
+                                                   poly, limit):
+    doc = {"schema": serialize.SCHEMA_SIMPLEX_POLY, "level": level,
+           "field": "Q", "poly": poly}
+    code, out, seconds = _timed_face(tmp_path, capsys, doc)
+    assert code == 2
+    assert limit in out["error"]
+    assert seconds < 1.0
+
+
+def test_simplex_matrix_over_the_term_limit_is_exit_2(tmp_path, capsys):
+    # four entries of degree 60 at level 2: 4 * C(62, 2) terms
+    big = [[[60, 0], "1"]]
+    sigma = {"schema": serialize.SCHEMA_SIMPLEX_MATRIX, "level": 2, "n": 2,
+             "field": "Q", "entries": [[big, big], [big, big]]}
+    f = tmp_path / "sigma.json"
+    f.write_text(json.dumps(sigma))
+    t0 = time.perf_counter()
+    code, out = _run(capsys, ["simplicial-face", "--i", "0", "--in", str(f)])
+    assert code == 2
+    assert "MAX_SIMPLEX_TERMS" in out["error"]
+    assert time.perf_counter() - t0 < 1.0
+
+
+def test_simplex_level_must_be_an_integer(tmp_path, capsys):
+    for level in (True, 1.0, "1"):
+        doc = {"schema": serialize.SCHEMA_SIMPLEX_POLY, "level": level,
+               "field": "Q", "poly": []}
+        code, out, _ = _timed_face(tmp_path, capsys, doc)
+        assert code == 2
+        assert "integer" in out["error"]
+
+
+def test_simplex_documents_at_the_limits_are_accepted(tmp_path, capsys):
+    top = serialize.MAX_SIMPLEX_LEVEL
+    doc = {"schema": serialize.SCHEMA_SIMPLEX_POLY, "level": top,
+           "field": "Q", "poly": [[[1] + [0] * (top - 1), "1"]]}
+    code, out, _ = _timed_face(tmp_path, capsys, doc, i=top)
+    assert code == 0 and out["level"] == top - 1
+    # C(deg + 1, 1) = MAX_SIMPLEX_TERMS at level 1; d_0 sums coefficients
+    deg = serialize.MAX_SIMPLEX_TERMS - 1
+    doc = {"schema": serialize.SCHEMA_SIMPLEX_POLY, "level": 1,
+           "field": "Q", "poly": [[[deg], "2"], [[0], "-1"]]}
+    code, out, _ = _timed_face(tmp_path, capsys, doc)
+    assert code == 0 and out["poly"] == [[[], "1"]]
 
 
 def test_malformed_json_is_exit_1(tmp_path, capsys):
