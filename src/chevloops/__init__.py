@@ -7,8 +7,7 @@ from .chevalley import (GroupMatrix, check_root, commutator, elem,
                         product_of_elementaries, w_elem)
 from .loops import (PathMatrix, c_loop, h_loop, identity_path, path_ring,
                     sl2_closed_form, verify_path_identity, w_loop, x_loop)
-from .steinberg import (SteinbergWord, in_k2, project, st_gen, st_inv,
-                        st_mul, symbol_word, tame_invariants)
+from .steinberg import SteinbergWord, in_k2, symbol_word, tame_invariants
 from .factorization import (factor_elementary, multiply_factors,
                             path_to_steinberg, word_to_path)
 from .simplicial import (SimplexMatrix, SimplexPoly, degeneracy, face,
@@ -26,8 +25,7 @@ __all__ = [
     "eval_matrix", "product_of_elementaries", "commutator",
     "PathMatrix", "x_loop", "w_loop", "h_loop", "c_loop", "sl2_closed_form",
     "verify_path_identity", "identity_path", "path_ring",
-    "SteinbergWord", "st_gen", "st_mul", "st_inv", "project", "symbol_word",
-    "in_k2", "tame_invariants",
+    "SteinbergWord", "symbol_word", "in_k2", "tame_invariants",
     "factor_elementary", "multiply_factors", "word_to_path",
     "path_to_steinberg",
     "SimplexPoly", "SimplexMatrix", "simplex_ring", "face", "degeneracy",

@@ -13,7 +13,7 @@ Steinberg-word layers.
 
 from __future__ import annotations
 
-from .rings import QQ, FiniteField, PolyRing
+from .rings import Poly, PolyRing
 
 
 def check_root(root, n: int):
@@ -36,53 +36,70 @@ def negate_root(root):
     return (j, i)
 
 
-def _is_scalar_field(ring) -> bool:
-    return ring is QQ or isinstance(ring, FiniteField)
+def _exact_div(ring, x, d):
+    """x / d in ``ring`` when d divides x exactly."""
+    if ring.is_field or d.is_constant():
+        return x * ring.invert(d)
+    # leading-term division in the lexicographic order on exponent vectors
+    dterms = d.terms
+    lead = max(dterms)
+    lead_inv = ring.base.invert(dterms[lead])
+    quotient = ring.zero
+    while x:
+        xterms = x.terms
+        e = max(xterms)
+        shift = tuple([a - b for a, b in zip(e, lead)])
+        if min(shift) < 0:
+            raise ValueError(f"{d} does not divide {x}")
+        t = Poly(ring, {shift: xterms[e] * lead_inv})
+        quotient = quotient + t
+        x = x - t * d
+    return quotient
 
 
-def _det_cofactor(rows, ring):
+def _bareiss(rows, ring, clear_above: bool):
+    """Fraction-free elimination (Bareiss, Math. Comp. 22, 1968) in place.
+
+    Row k is the pivot row of step k; every row below it, and every row
+    above it too when ``clear_above`` (Gauss-Jordan), becomes
+    (p_k * row - row[k] * pivot row) / p_{k-1} on the columns right of k,
+    and every such division is exact.  Columns up to k are left stale.
+    Returns (p_{n-1}, odd) with p_{n-1} = det(PA) for the row swaps P,
+    odd when P is odd; p_{n-1} is zero when the matrix is singular.
+    """
     n = len(rows)
-    if n == 1:
-        return rows[0][0]
-    if n == 2:
-        return rows[0][0] * rows[1][1] - rows[0][1] * rows[1][0]
-    det = ring.zero
-    sign = 1
+    one = ring.one
+    prev, odd, divide = one, False, False
     for k in range(n):
-        a = rows[0][k]
-        if a == ring.zero:
-            sign = -sign
-            continue
-        minor = [[row[c] for c in range(n) if c != k] for row in rows[1:]]
-        term = a * _det_cofactor(minor, ring)
-        det = det + term if sign > 0 else det - term
-        sign = -sign
-    return det
-
-
-def _det_field(rows, field):
-    # Gaussian elimination with division; rows is a mutable copy
-    n = len(rows)
-    det = field.one
-    for k in range(n):
-        piv = None
-        for r in range(k, n):
-            if rows[r][k] != field.zero:
-                piv = r
-                break
-        if piv is None:
-            return field.zero
+        piv = k
+        while not rows[piv][k]:
+            piv += 1
+            if piv == n:
+                return ring.zero, odd
         if piv != k:
             rows[k], rows[piv] = rows[piv], rows[k]
-            det = -det
-        det = det * rows[k][k]
-        inv = field.invert(rows[k][k])
-        for r in range(k + 1, n):
-            c = rows[r][k]
-            if c != field.zero:
-                f = c * inv
-                rows[r] = [rows[r][m] - f * rows[k][m] for m in range(n)]
-    return det
+            odd = not odd
+        top = rows[k]
+        p = top[k]
+        scale = p != one
+        for i in range(n) if clear_above else range(k + 1, n):
+            if i == k:
+                continue
+            row = rows[i]
+            c = row[k]
+            if not c and not (scale or divide):
+                continue
+            for j in range(k + 1, len(top)):
+                x = row[j]
+                if scale and x:
+                    x = p * x
+                if c and top[j]:
+                    x = x - c * top[j]
+                if divide and x:
+                    x = _exact_div(ring, x, prev)
+                row[j] = x
+        prev, divide = p, scale
+    return prev, odd
 
 
 class GroupMatrix:
@@ -113,9 +130,9 @@ class GroupMatrix:
                           for i in range(n)], _checked=True)
 
     def det(self):
-        if _is_scalar_field(self.ring):
-            return _det_field([list(r) for r in self.rows], self.ring)
-        return _det_cofactor([list(r) for r in self.rows], self.ring)
+        pivot, odd = _bareiss([list(r) for r in self.rows], self.ring,
+                              clear_above=False)
+        return -pivot if odd else pivot
 
     def entry(self, i: int, j: int):
         """Entry at 1-based position (i, j)."""
@@ -144,36 +161,19 @@ class GroupMatrix:
         return GroupMatrix(self.ring, out, _checked=True)
 
     def inverse(self) -> "GroupMatrix":
+        # eliminating [A | I] leaves [d*I | d*A^{-1}] with d = det(PA) = +-1
         ring, n = self.ring, self.n
-        if _is_scalar_field(ring):
-            # Gauss-Jordan
-            aug = [list(self.rows[i]) +
-                   [ring.one if i == j else ring.zero for j in range(n)]
-                   for i in range(n)]
-            for k in range(n):
-                piv = next(r for r in range(k, n) if aug[r][k] != ring.zero)
-                if piv != k:
-                    aug[k], aug[piv] = aug[piv], aug[k]
-                inv = ring.invert(aug[k][k])
-                aug[k] = [x * inv for x in aug[k]]
-                for r in range(n):
-                    if r != k and aug[r][k] != ring.zero:
-                        c = aug[r][k]
-                        aug[r] = [x - c * y for x, y in zip(aug[r], aug[k])]
-            return GroupMatrix(ring, [row[n:] for row in aug], _checked=True)
-        # adjugate; the determinant is 1 so no division is needed
-        out = []
-        for i in range(n):
-            row = []
-            for j in range(n):
-                minor = [[self.rows[r][c] for c in range(n) if c != i]
-                         for r in range(n) if r != j]
-                cof = _det_cofactor(minor, ring) if n > 1 else ring.one
-                if (i + j) % 2:
-                    cof = -cof
-                row.append(cof)
-            out.append(row)
-        return GroupMatrix(ring, out, _checked=True)
+        one, zero = ring.one, ring.zero
+        aug = [list(row) + [one if i == j else zero for j in range(n)]
+               for i, row in enumerate(self.rows)]
+        d, _ = _bareiss(aug, ring, clear_above=True)
+        if d == one:
+            rows = [row[n:] for row in aug]
+        elif d == -one:
+            rows = [[-x for x in row[n:]] for row in aug]
+        else:
+            raise ValueError("determinant is not 1")
+        return GroupMatrix(ring, rows, _checked=True)
 
     def is_identity(self) -> bool:
         one, zero = self.ring.one, self.ring.zero

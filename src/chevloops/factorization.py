@@ -26,11 +26,11 @@ def _ring_tools(ring):
 
         def divmod_fn(a, b):
             return a * ring.invert(b), ring.zero
-        return deg, divmod_fn, ring
+        return deg, divmod_fn
     if isinstance(ring, PolyRing) and ring.univariate and ring.base.is_field:
         def deg(x):
             return x.degree()
-        return deg, poly_divmod, ring
+        return deg, poly_divmod
     raise ValueError(
         f"factorization is supported over fields and k[T], not {ring!r}")
 
@@ -44,7 +44,7 @@ def factor_elementary(m) -> list:
     """
     mat = m.matrix if isinstance(m, PathMatrix) else m
     ring = mat.ring
-    deg, divmod_fn, _ = _ring_tools(ring)
+    deg, divmod_fn = _ring_tools(ring)
     n = mat.n
     zero, one = ring.zero, ring.one
     rows = [list(r) for r in mat.rows]

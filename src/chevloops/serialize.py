@@ -138,18 +138,24 @@ def matrix_to_json(m: GroupMatrix, schema: str = SCHEMA_MATRIX) -> dict:
     }
 
 
-def matrix_from_json(doc: dict) -> GroupMatrix:
-    ring = parse_ring(doc["ring"])
+def _entry_grid(doc: dict) -> tuple[int, list]:
+    """The declared size and the row-major entries of a matrix document."""
     n = doc["n"]
     entries = doc["entries"]
-    if not (isinstance(entries, list) and len(entries) == n):
+    if not (isinstance(entries, list) and len(entries) == n
+            and all(isinstance(r, list) and len(r) == n for r in entries)):
         raise ValueError("entry grid does not match declared size")
-    rows = []
-    for row in entries:
-        if not (isinstance(row, list) and len(row) == n):
-            raise ValueError("entry grid does not match declared size")
-        rows.append([scalar_from_json(ring, x) for x in row])
-    return GroupMatrix(ring, rows)
+    return n, [x for row in entries for x in row]
+
+
+def matrix_from_json(doc: dict) -> GroupMatrix:
+    ring = parse_ring(doc["ring"])
+    n, flat = _entry_grid(doc)
+    if isinstance(ring, PolyRing):
+        flat = _bounded_polys(ring, flat)
+    else:
+        flat = [scalar_from_json(ring, x) for x in flat]
+    return GroupMatrix(ring, [flat[k * n:(k + 1) * n] for k in range(n)])
 
 
 def path_to_json(path: PathMatrix) -> dict:
@@ -193,10 +199,11 @@ def word_from_json(doc: dict) -> SteinbergWord:
 # Largest level a simplex document may declare: the face maps of level n
 # are built in O(n^2).
 MAX_SIMPLEX_LEVEL = 64
-# Most terms the polynomials of one simplex document may have, counted as
-# C(deg + level, level) for each polynomial of total degree deg.  That
-# bounds the stored form (dense at level 1) and every face image, which
-# lives one level lower.
+# Most terms the polynomials of one simplex, matrix or path document may
+# have, counted as C(deg + v, v) for each polynomial of total degree deg
+# in v variables (deg + 1 over k[T]).  That bounds the stored form (dense
+# in one variable) and, for a simplex, every face image, which lives one
+# level lower.
 MAX_SIMPLEX_TERMS = 5000
 
 
@@ -210,21 +217,22 @@ def _simplex_level(doc: dict) -> int:
     return level
 
 
-def _simplex_polys(field, level: int, docs: list) -> list:
-    """The encoded polynomials of a simplex document, refused before any
-    is built when their term bound exceeds ``MAX_SIMPLEX_TERMS``."""
-    ring = simplex_ring(field, level)
+def _bounded_polys(ring: PolyRing, docs: list) -> list:
+    """The encoded polynomials of one document, refused before any is
+    built when their term bound exceeds ``MAX_SIMPLEX_TERMS``."""
+    nvars = len(ring.variables)
     terms = [_terms_from_json(ring, d) for d in docs]
     bound = 0
     for t in terms:
         if t:
             deg = max(map(sum, t))
-            bound += comb(min(deg, MAX_SIMPLEX_TERMS) + level, level)
+            bound += comb(min(deg, MAX_SIMPLEX_TERMS) + nvars, nvars)
             if bound > MAX_SIMPLEX_TERMS:
                 raise ValueError(
-                    f"simplex document exceeds {MAX_SIMPLEX_TERMS} terms "
-                    f"(MAX_SIMPLEX_TERMS, counted as C(deg + level, level) "
-                    f"per polynomial) at level {level}, degree {deg}")
+                    f"document exceeds {MAX_SIMPLEX_TERMS} terms "
+                    f"(MAX_SIMPLEX_TERMS, counted as C(deg + v, v) per "
+                    f"polynomial in v variables) with v = {nvars}, "
+                    f"degree {deg}")
     return [Poly(ring, t) for t in terms]
 
 
@@ -241,7 +249,7 @@ def simplex_poly_to_json(sp: SimplexPoly) -> dict:
 def simplex_poly_from_json(doc: dict) -> SimplexPoly:
     level = _simplex_level(doc)
     field = parse_ring(doc["field"])
-    poly, = _simplex_polys(field, level, [doc["poly"]])
+    poly, = _bounded_polys(simplex_ring(field, level), [doc["poly"]])
     return SimplexPoly(field, level, poly)
 
 
@@ -259,16 +267,11 @@ def simplex_matrix_to_json(sm: SimplexMatrix) -> dict:
 
 def simplex_matrix_from_json(doc: dict) -> SimplexMatrix:
     level = _simplex_level(doc)
-    field = parse_ring(doc["field"])
-    n = doc["n"]
-    entries = doc["entries"]
-    if not (isinstance(entries, list) and len(entries) == n
-            and all(isinstance(r, list) and len(r) == n for r in entries)):
-        raise ValueError("entry grid does not match declared size")
-    flat = _simplex_polys(field, level, [x for row in entries for x in row])
-    rows = [flat[k * n:(k + 1) * n] for k in range(n)]
-    return SimplexMatrix(field, level,
-                         GroupMatrix(simplex_ring(field, level), rows))
+    ring = simplex_ring(parse_ring(doc["field"]), level)
+    n, flat = _entry_grid(doc)
+    flat = _bounded_polys(ring, flat)
+    return SimplexMatrix(ring.base, level, GroupMatrix(
+        ring, [flat[k * n:(k + 1) * n] for k in range(n)]))
 
 
 # ---------------------------------------------------------------------------

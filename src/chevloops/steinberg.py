@@ -116,23 +116,6 @@ class SteinbergWord:
         return f"SteinbergWord({self})"
 
 
-def st_gen(ring, n: int, root, param) -> SteinbergWord:
-    """The one-letter word x~_root(param)."""
-    return SteinbergWord(ring, n, [(root, param)])
-
-
-def st_mul(a: SteinbergWord, b: SteinbergWord) -> SteinbergWord:
-    return a * b
-
-
-def st_inv(w: SteinbergWord) -> SteinbergWord:
-    return w.inverse()
-
-
-def project(w: SteinbergWord):
-    return w.project()
-
-
 def symbol_word(root, u, v, n: int, ring) -> SteinbergWord:
     """The symbol word c~(u, v) = h~(u) h~(v) h~(uv)^{-1} for units u, v.
 

@@ -1,12 +1,13 @@
 """Group matrices: generators, relations, and exact determinants."""
 
 import random
+import time
 from fractions import Fraction
 
 import pytest
 
 from chevloops import (GF, GroupMatrix, PolyRing, QQ, commutator, elem,
-                       eval_matrix, h_elem, w_elem)
+                       eval_matrix, h_elem, product_of_elementaries, w_elem)
 
 
 def test_elem_examples():
@@ -156,3 +157,24 @@ def test_det_preserved_under_random_products():
         root = roots[rng.randrange(len(roots))]
         m = m * elem(root, field(rng.randint(0, 6)), 3, field)
         assert m.det() == field.one
+
+
+def test_dense_8x8_inverse_over_q_t_is_fast():
+    # x_L * x_U with every letter a + bT: no entry is zero
+    ring = PolyRing(QQ, ("T",))
+    t = ring.gen("T")
+    rng = random.Random("dense-8x8")
+
+    def letters(lower):
+        return [((i, j), Fraction(rng.randint(-9, 9), rng.randint(1, 9))
+                 + rng.randint(1, 9) * t)
+                for i in range(1, 9) for j in range(1, 9)
+                if (i > j if lower else i < j)]
+
+    m = (product_of_elementaries(ring, 8, letters(True))
+         * product_of_elementaries(ring, 8, letters(False)))
+    assert all(x for row in m.rows for x in row)
+    t0 = time.perf_counter()
+    inv = m.inverse()
+    assert time.perf_counter() - t0 < 1.0
+    assert (m * inv).is_identity() and (inv * m).is_identity()

@@ -1,12 +1,14 @@
 """CLI: JSON in, JSON out, deterministic bytes, exit-code contract."""
 
 import json
+import random
 import time
+from fractions import Fraction
 
 import pytest
 
 import chevloops.cli as cli
-from chevloops import serialize
+from chevloops import PolyRing, QQ, product_of_elementaries, serialize
 from chevloops.cli import main
 
 
@@ -89,6 +91,47 @@ def test_verify_identity(tmp_path, capsys):
     assert code == 0
     assert doc["equal"] is False
     assert doc["first_difference"] is not None
+
+
+def test_verify_identity_10x10_over_q_t_is_fast(tmp_path, capsys):
+    # x_L and x_U with every letter a + bT, against their dense product;
+    # loading re-checks the determinant of all three matrices
+    ring = PolyRing(QQ, ("T",))
+    t = ring.gen("T")
+    rng = random.Random("dense-10x10")
+
+    def letters(lower):
+        return [((i, j), Fraction(rng.randint(-9, 9), rng.randint(1, 9))
+                 + rng.randint(1, 9) * t)
+                for i in range(1, 11) for j in range(1, 11)
+                if (i > j if lower else i < j)]
+
+    xl = product_of_elementaries(ring, 10, letters(True))
+    xu = product_of_elementaries(ring, 10, letters(False))
+    f = tmp_path / "lu.json"
+    f.write_text(json.dumps({
+        "lhs": [serialize.matrix_to_json(xl), serialize.matrix_to_json(xu)],
+        "rhs": [serialize.matrix_to_json(xl * xu)]}))
+    t0 = time.perf_counter()
+    code, doc = _run(capsys, ["verify-identity", "--in", str(f)])
+    assert time.perf_counter() - t0 < 2.0
+    assert code == 0 and doc["equal"] is True
+
+
+@pytest.mark.parametrize("exponent", [2_000_000, 10 ** 12])
+def test_path_documents_over_the_term_limit_are_exit_2(tmp_path, capsys,
+                                                       exponent):
+    # one entry T^exponent would be stored as a dense coefficient tuple
+    path = {"schema": serialize.SCHEMA_PATH, "n": 2, "ring": "poly:Q:T",
+            "entries": [[[[[0], "1"]], [[[exponent], "1"]]],
+                        [[], [[[0], "1"]]]]}
+    f = tmp_path / "path.json"
+    f.write_text(json.dumps(path))
+    t0 = time.perf_counter()
+    code, out = _run(capsys, ["verify-loop", "--in", str(f)])
+    assert time.perf_counter() - t0 < 1.0
+    assert code == 2
+    assert "MAX_SIMPLEX_TERMS" in out["error"]
 
 
 def test_tame_value(capsys):

@@ -7,8 +7,8 @@ import pytest
 
 from chevloops import (GF, GroupMatrix, PathMatrix, PolyRing, QQ, elem,
                        factor_elementary, in_k2, multiply_factors, path_ring,
-                       path_to_steinberg, st_gen, symbol_word, word_to_path,
-                       c_loop, x_loop)
+                       path_to_steinberg, SteinbergWord, symbol_word,
+                       word_to_path, c_loop, x_loop)
 
 
 def test_already_elementary():
@@ -74,9 +74,9 @@ def test_multivariate_rings_are_rejected():
 
 def test_word_to_path_examples():
     u = Fraction(4)
-    w = st_gen(QQ, 3, (1, 2), u)
+    w = SteinbergWord(QQ, 3, [((1, 2), u)])
     assert word_to_path(w) == x_loop((1, 2), u, 3, QQ)
-    empty = st_gen(QQ, 3, (1, 2), Fraction(0))
+    empty = SteinbergWord(QQ, 3, [((1, 2), Fraction(0))])
     assert word_to_path(empty).matrix.is_identity()
     sym = symbol_word((1, 2), Fraction(2), Fraction(3), 3, QQ)
     assert word_to_path(sym).is_loop()

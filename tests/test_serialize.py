@@ -5,8 +5,8 @@ from fractions import Fraction
 
 import pytest
 
-from chevloops import (GF, PolyRing, QQ, SimplexPoly, c_loop, elem,
-                       milnor_k2_finite_field, simplex_ring, st_gen,
+from chevloops import (GF, PolyRing, QQ, SimplexPoly, SteinbergWord, c_loop,
+                       elem, milnor_k2_finite_field, simplex_ring,
                        symbol_word)
 from chevloops import serialize as ser
 
@@ -79,7 +79,8 @@ def test_word_roundtrip_and_sign_folding():
     # a -1 sign on input negates the parameter
     single = {"schema": ser.SCHEMA_WORD, "n": 3, "ring": "Q",
               "letters": [[1, 2, "5", -1]]}
-    assert ser.word_from_json(single) == st_gen(QQ, 3, (1, 2), Fraction(-5))
+    assert ser.word_from_json(single) == SteinbergWord(
+        QQ, 3, [((1, 2), Fraction(-5))])
 
 
 def test_word_roundtrip_over_finite_field():
