@@ -5,28 +5,23 @@ These are deliberately independent of the loop and word layers: the tame
 symbol is computed straight from valuations, the K2 presentations feed a
 generators-and-relations matrix to exact Smith normal form, and H2 of a
 finite group is ker d2 / im d3 of the normalized bar complex with integer
-coefficients.  Finite-field groups serve as validation data only.
+coefficients.  H2 is read off modular certificates rather than an integer
+Smith form of d3: ranks at one prime not dividing |G| show it is finite,
+and since |G| annihilates it (Brown, Cohomology of Groups, III.10.2) each
+p-part for p | |G| comes from a local Smith form of d3 mod a power of p
+(Dumas, Saunders and Villard, JSC 32, 2001).  Finite-field groups serve
+as validation data only.
 """
 
 from __future__ import annotations
 
+import random
 from fractions import Fraction
 
 from .chevalley import GroupMatrix
-from .snf import SNFResult, SparseIntMatrix, smith_normal_form
-
-
-def _is_prime(n: int) -> bool:
-    if n < 2:
-        return False
-    if n % 2 == 0:
-        return n == 2
-    d = 3
-    while d * d <= n:
-        if n % d == 0:
-            return False
-        d += 2
-    return True
+from .rings import _iroot, is_prime
+from .snf import (SNFResult, SparseIntMatrix, _divisibility_chain,
+                  _local_smith, _next_prime, smith_normal_form)
 
 
 def prime_factors(n: int) -> set[int]:
@@ -60,7 +55,7 @@ def tame_symbol(a, b, p: int) -> int:
 
         (-1)^(v(a) v(b)) * a^v(b) * b^(-v(a))   reduced mod p.
     """
-    if not _is_prime(p):
+    if not is_prime(p):
         raise ValueError(f"{p} is not prime")
     a = Fraction(a)
     b = Fraction(b)
@@ -156,6 +151,8 @@ def milnor_k2_finite_field(q: int) -> AbelianGroupPresentation:
 
 
 def _enumerate_group(gens: list[GroupMatrix], bound: int):
+    """The group generated by ``gens``, breadth first from the identity;
+    stops at bound + 1 elements, so a longer list means order > bound."""
     ring, n = gens[0].ring, gens[0].n
     for g in gens:
         if g.ring != ring or g.n != n:
@@ -170,32 +167,26 @@ def _enumerate_group(gens: list[GroupMatrix], bound: int):
             for h in gens:
                 x = g * h
                 if x not in seen:
-                    if len(seen) >= bound:
-                        raise ValueError(
-                            f"order bound {bound} exceeded: enumerated "
-                            f"{len(seen)} elements so far")
                     seen.add(x)
                     order.append(x)
+                    if len(order) > bound:
+                        return order, identity
                     nxt.append(x)
         frontier = nxt
     return order, identity
 
 
-def schur_multiplier(gens: list[GroupMatrix],
-                     order_bound: int = 200) -> AbelianGroupPresentation:
-    """H_2(G, Z) of the finite matrix group generated by ``gens``.
+MAX_BAR_COLUMNS = 20_000   # (|G| - 1)^3 columns of d3; SL2(F3) needs 12,167
+_MAX_BAR_ORDER = 1 + _iroot(MAX_BAR_COLUMNS, 3)   # 28
 
-    Enumerates the group (error past ``order_bound``), assembles the
-    normalized bar complex in degrees 1..3 over the integers, verifies
-    d2 . d3 = 0 exactly, and reads off ker d2 / im d3 via Smith normal
-    form.  The result is returned as a diagonal presentation.
+
+def _bar_complex(elems, identity):
+    """Columns of d2 and d3 of the normalized bar complex of the group
+    ``elems``: sparse dicts over the bases [g] and [g|h] of non-identity
+    elements, in the order (g, h) and (g, h, k) with the last slot fastest.
     """
-    if not gens:
-        raise ValueError("at least one generator is required")
-    elems, identity = _enumerate_group(gens, order_bound)
     nontriv = [g for g in elems if g != identity]
     idx = {g: k for k, g in enumerate(nontriv)}
-    m = len(nontriv)
 
     prod = {}
     for a in elems:
@@ -206,49 +197,118 @@ def schur_multiplier(gens: list[GroupMatrix],
     for g in nontriv:
         for h in nontriv:
             pair_idx[(g, h)] = len(pair_idx)
-    npairs = m * m
 
-    # d2[g|h] = [h] - [gh] + [g], dropping the degenerate [e]
-    d2_entries = []
-    d2_cols: list[dict[int, int]] = [dict() for _ in range(npairs)]
-    for (g, h), c in pair_idx.items():
-        col = d2_cols[c]
-        for key, s in ((h, 1), (prod[(g, h)], -1), (g, 1)):
-            r = idx.get(key)
+    def column(index, terms):
+        col: dict[int, int] = {}
+        for key, s in terms:
+            r = index.get(key)
             if r is None:
                 continue
             col[r] = col.get(r, 0) + s
             if col[r] == 0:
                 del col[r]
-    for c, col in enumerate(d2_cols):
-        for r, v in col.items():
-            d2_entries.append((r, c, v))
-    d2 = SparseIntMatrix(m, npairs, d2_entries)
+        return col
 
+    # d2[g|h] = [h] - [gh] + [g], dropping the degenerate [e]
+    d2_cols = [column(idx, ((h, 1), (prod[(g, h)], -1), (g, 1)))
+               for (g, h) in pair_idx]
     # d3[g|h|k] = [h|k] - [gh|k] + [g|hk] - [g|h], dropping tuples with e
-    d3_entries = []
-    d3_cols: list[dict[int, int]] = []
-    col = 0
-    for g in nontriv:
-        for h in nontriv:
-            gh = prod[(g, h)]
-            base = pair_idx[(g, h)]
-            for k in nontriv:
-                hk = prod[(h, k)]
-                coldict: dict[int, int] = {}
-                for key, s in (((h, k), 1), ((gh, k), -1),
-                               ((g, hk), 1), ((g, h), -1)):
-                    r = pair_idx.get(key)
-                    if r is None:
-                        continue
-                    coldict[r] = coldict.get(r, 0) + s
-                    if coldict[r] == 0:
-                        del coldict[r]
-                for r, v in coldict.items():
-                    d3_entries.append((r, col, v))
-                d3_cols.append(coldict)
-                col += 1
-    d3 = SparseIntMatrix(npairs, col, d3_entries)
+    d3_cols = [column(pair_idx, (((h, k), 1), ((prod[(g, h)], k), -1),
+                                 ((g, prod[(h, k)]), 1), ((g, h), -1)))
+               for g in nontriv for h in nontriv for k in nontriv]
+    return d2_cols, d3_cols
+
+
+def _elimination_order(cols: list[dict[int, int]]) -> list[dict[int, int]]:
+    """Distinct nonzero columns up to sign, shuffled with a fixed seed and
+    then stably sorted by length: short columns first keeps fill low."""
+    seen = set()
+    out = []
+    for col in cols:
+        if not col:
+            continue
+        key = tuple(sorted(col.items()))
+        if key[0][1] < 0:
+            key = tuple((r, -v) for r, v in key)
+        if key not in seen:
+            seen.add(key)
+            out.append(col)
+    random.Random(0x5EED).shuffle(out)
+    out.sort(key=len)
+    return out
+
+
+def _h2_torsion(d2_cols, d3_cols, order: int) -> list[int]:
+    """Invariant factors of H_2 = ker d2 / im d3, from modular certificates.
+
+    With m = order - 1, rank d2 = m and rank d3 = m^2 - m over F_l for
+    one prime l not dividing the order certify both ranks over Q (d2 has
+    m rows, and d2 . d3 = 0 caps rank d3), so H_2 is finite.  The order
+    annihilates H_2, so only primes p | order occur, each with
+    v_p(factor) <= v_p(order) = k - 1.  The Smith form of d3 is read mod
+    p^(k+1), one power beyond that bound: it must have m^2 - m nonzero
+    factors there (none lost to a valuation above k) and none of
+    valuation k or more.
+    """
+    m = order - 1
+    stop = m * m - m
+    d2 = _elimination_order(d2_cols)
+    d3 = _elimination_order(d3_cols)
+    ell = _next_prime(10 ** 6)
+    while order % ell == 0:
+        ell = _next_prime(ell)
+    if _local_smith(d2, ell, 1, m)[0] != m or \
+            _local_smith(d3, ell, 1, stop)[0] != stop:
+        raise RuntimeError(f"bar complex failed its rank check mod {ell}")
+    parts = []
+    for p in sorted(prime_factors(order)):
+        k = _strip_p(order, p)[1] + 1
+        units, valuations = _local_smith(d3, p, k + 1, stop)
+        if units + len(valuations) != stop:
+            raise RuntimeError(
+                f"Smith form of d3 mod {p}^{k + 1} has "
+                f"{units + len(valuations)} nonzero factors, not {stop}")
+        if any(v >= k for v in valuations):
+            raise RuntimeError(
+                f"Smith form of d3 has a factor divisible by {p}^{k}, "
+                f"which the group order {order} does not annihilate")
+        parts.append([p ** v for v in valuations])
+    return _merge_p_parts(parts)
+
+
+def _merge_p_parts(parts: list[list[int]]) -> list[int]:
+    """One divisibility chain, without 1s, from the p-parts' factors."""
+    return [d for d in _divisibility_chain([d for part in parts for d in part])
+            if d > 1]
+
+
+def schur_multiplier(gens: list[GroupMatrix],
+                     order_bound: int = 200) -> AbelianGroupPresentation:
+    """H_2(G, Z) of the finite matrix group generated by ``gens``.
+
+    Enumerates the group, stopping with an error past ``order_bound``
+    elements or once d3 would have more than ``MAX_BAR_COLUMNS`` columns
+    ((|G| - 1)^3, so |G| <= 28).  Assembles the normalized bar complex in
+    degrees 1..3 over the integers, verifies d2 . d3 = 0 exactly, and
+    reads off ker d2 / im d3 from modular certificates (see
+    ``_h2_torsion``): ranks at one large prime, and a local Smith form of
+    d3 at each prime dividing |G|.  Raises ``RuntimeError`` when a
+    certificate fails.  The result is returned as a diagonal
+    presentation.
+    """
+    if not gens:
+        raise ValueError("at least one generator is required")
+    elems, identity = _enumerate_group(
+        gens, min(order_bound, _MAX_BAR_ORDER))
+    if len(elems) > order_bound:
+        raise ValueError(f"order bound {order_bound} exceeded: the group has "
+                         f"more than {order_bound} elements")
+    if len(elems) > _MAX_BAR_ORDER:
+        raise ValueError(
+            f"the group has more than {_MAX_BAR_ORDER} elements, so d3 "
+            f"would have more than {MAX_BAR_COLUMNS} columns "
+            f"(MAX_BAR_COLUMNS = {MAX_BAR_COLUMNS})")
+    d2_cols, d3_cols = _bar_complex(elems, identity)
 
     # the boundary must square to zero before any Smith form is trusted
     for coldict in d3_cols:
@@ -259,16 +319,10 @@ def schur_multiplier(gens: list[GroupMatrix],
         if any(acc.values()):
             raise RuntimeError("bar-complex boundary does not square to zero")
 
-    snf3 = smith_normal_form(d3)
-    snf2 = smith_normal_form(d2)
-    null2 = npairs - snf2.rank
-    free_rank = null2 - snf3.rank
-    torsion = snf3.torsion
-
-    ngens = len(torsion) + free_rank
-    labels = [f"h{i + 1}" for i in range(ngens)]
+    torsion = _h2_torsion(d2_cols, d3_cols, len(elems))
+    labels = [f"h{i + 1}" for i in range(len(torsion))]
     relations = SparseIntMatrix(
-        len(torsion), ngens,
+        len(torsion), len(torsion),
         [(i, i, d) for i, d in enumerate(torsion)])
     meta = {
         "group_order": len(elems),

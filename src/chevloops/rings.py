@@ -75,24 +75,64 @@ _FIELD_POLYNOMIALS = {
 }
 
 
+# Miller-Rabin with the first 13 prime bases is exact below psi_13
+# (Sorenson and Webster, Math. Comp. 86, 2017).  The first 12 bases are
+# not enough: psi_12 = 318665857834031151167461 is composite and passes.
+_MR_BASES = (2, 3, 5, 7, 11, 13, 17, 19, 23, 29, 31, 37, 41)
+MAX_PRIME_TEST = 3317044064679887385961981   # psi_13
+
+
+def is_prime(n: int) -> bool:
+    """Deterministic primality for n < MAX_PRIME_TEST; refuses larger n."""
+    if n >= MAX_PRIME_TEST:
+        raise ValueError(
+            f"{n} is too large for the deterministic primality test "
+            f"(MAX_PRIME_TEST = {MAX_PRIME_TEST})")
+    if n < 2:
+        return False
+    for b in _MR_BASES:
+        if n % b == 0:
+            return n == b
+    d, s = n - 1, 0
+    while d % 2 == 0:
+        d //= 2
+        s += 1
+    for b in _MR_BASES:
+        x = pow(b, d, n)
+        if x == 1 or x == n - 1:
+            continue
+        for _ in range(s - 1):
+            x = x * x % n
+            if x == n - 1:
+                break
+        else:
+            return False
+    return True
+
+
+def _iroot(n: int, e: int) -> int:
+    """floor(n ** (1/e)) for n >= 1, by bisection on integers."""
+    lo, hi = 1, 1 << (n.bit_length() // e + 1)
+    while hi - lo > 1:
+        mid = (lo + hi) // 2
+        if mid ** e <= n:
+            lo = mid
+        else:
+            hi = mid
+    return lo
+
+
 def _prime_power(q: int) -> tuple[int, int]:
     if q < 2:
         raise ValueError(f"{q} is not a prime power")
-    p = q
-    for d in range(2, q):
-        if d * d > q:
-            break
-        if q % d == 0:
-            p = d
-            break
-    e = 0
-    n = q
-    while n % p == 0:
-        n //= p
-        e += 1
-    if n != 1:
-        raise ValueError(f"{q} is not a prime power")
-    return p, e
+    # the largest e with an exact e-th root leaves a base that is no
+    # perfect power, so q is a prime power exactly when that base is prime
+    for e in range(q.bit_length(), 0, -1):
+        p = _iroot(q, e)
+        if p > 1 and p ** e == q:
+            if not is_prime(p):
+                raise ValueError(f"{q} is not a prime power")
+            return p, e
 
 
 def _poly_divmod_modp(a: list[int], b: list[int], p: int):

@@ -140,6 +140,39 @@ def test_tame_value(capsys):
     assert doc == {"value": "2"}
 
 
+def test_tame_at_a_19_digit_prime_is_fast(capsys):
+    p = "1000000000000000003"
+    t0 = time.perf_counter()
+    code, doc = _run(capsys, ["tame", "--a", "2", "--b", p, "--p", p])
+    assert time.perf_counter() - t0 < 1.0
+    assert (code, doc) == (0, {"value": "2"})
+
+
+def test_tame_beyond_the_primality_limit_is_exit_2(capsys):
+    t0 = time.perf_counter()
+    code, doc = _run(capsys, ["tame", "--a", "2", "--b", "3", "--p",
+                              "3317044064679887385961981"])
+    assert time.perf_counter() - t0 < 1.0
+    assert code == 2
+    assert "MAX_PRIME_TEST" in doc["error"]
+
+
+def test_symbol_loop_over_a_19_digit_prime_field_is_fast(capsys):
+    t0 = time.perf_counter()
+    code, doc = _run(capsys, ["symbol-loop", "--group", "sl2", "--root",
+                              "1,2", "--u", "2", "--v", "3", "--ring",
+                              "Fq:1000000000000000003^1"])
+    assert time.perf_counter() - t0 < 1.0
+    assert code == 0
+    assert serialize.path_from_json(doc).is_loop()
+    # a flag value that names no usable field is malformed input
+    code, doc = _run(capsys, ["symbol-loop", "--group", "sl2", "--root",
+                              "1,2", "--u", "2", "--v", "3", "--ring",
+                              "Fq:3317044064679887385961981^1"])
+    assert code == 1
+    assert "MAX_PRIME_TEST" in doc["error"]
+
+
 def test_k2m_field_q2(capsys):
     code, doc = _run(capsys, ["k2m-field", "--q", "2"])
     assert code == 0
@@ -174,6 +207,19 @@ def test_schur_output_deterministic_apart_from_timing(tmp_path, capsys):
     second.pop("timing")
     assert first == second == {"order": 6, "invariant_factors": [],
                                "free_rank": 0}
+
+
+def test_schur_past_the_bar_complex_limit_is_exit_2(tmp_path, capsys):
+    # diag(6, 1/6) over F_41 has order 40: d3 would have 39^3 columns
+    g = {"schema": serialize.SCHEMA_MATRIX, "n": 2, "ring": "Fq:41^1",
+         "entries": [[[6], [0]], [[0], [7]]]}
+    f = tmp_path / "gens.json"
+    f.write_text(json.dumps({"gens": [g]}))
+    t0 = time.perf_counter()
+    code, doc = _run(capsys, ["schur", "--gens", str(f)])
+    assert time.perf_counter() - t0 < 1.0
+    assert code == 2
+    assert "MAX_BAR_COLUMNS" in doc["error"]
 
 
 def test_simplicial_face_poly(tmp_path, capsys):

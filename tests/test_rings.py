@@ -6,6 +6,7 @@ from fractions import Fraction
 import pytest
 
 from chevloops import GF, Poly, PolyRing, QQ, poly_divmod
+from chevloops.rings import MAX_PRIME_TEST, _prime_power, is_prime
 
 
 def _sample(field, rng, count):
@@ -57,6 +58,45 @@ def test_unsupported_prime_powers_error():
     with pytest.raises(ValueError):
         GF(25)   # e >= 2 beyond the table
     GF(101)      # any prime is fine
+
+
+def _is_prime_by_trial_division(n):
+    return n >= 2 and all(n % d for d in range(2, int(n ** 0.5) + 1))
+
+
+def test_is_prime_matches_trial_division_below_10_5():
+    assert [n for n in range(10 ** 5) if is_prime(n)] == \
+        [n for n in range(10 ** 5) if _is_prime_by_trial_division(n)]
+
+
+@pytest.mark.parametrize("n", [
+    2047,                          # strong pseudoprime to base 2
+    1373653,                       # to bases 2, 3
+    25326001,                      # to bases 2, 3, 5
+    3215031751,                    # to bases 2, 3, 5, 7
+    318665857834031151167461,      # psi_12: to the 12 prime bases up to 37
+])
+def test_is_prime_rejects_strong_pseudoprimes(n):
+    assert not is_prime(n)
+
+
+def test_is_prime_large_values_and_limit():
+    assert MAX_PRIME_TEST == 3317044064679887385961981   # psi_13
+    assert is_prime(10 ** 18 + 3) and is_prime(2 ** 61 - 1)
+    assert not is_prime(MAX_PRIME_TEST - 1)
+    with pytest.raises(ValueError, match="MAX_PRIME_TEST"):
+        is_prime(MAX_PRIME_TEST)
+
+
+def test_prime_power_decomposition():
+    assert _prime_power(7) == (7, 1)
+    assert _prime_power(64) == (2, 6)
+    assert _prime_power(3 ** 40) == (3, 40)
+    assert _prime_power(2 ** 100) == (2, 100)    # beyond the test limit
+    assert GF(10 ** 18 + 3).p == 10 ** 18 + 3
+    for q in (1, 6, 36, 100, 318665857834031151167461):
+        with pytest.raises(ValueError, match="not a prime power"):
+            _prime_power(q)
 
 
 def test_mixed_fields_error():

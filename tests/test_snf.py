@@ -4,7 +4,7 @@ import random
 
 import pytest
 
-from chevloops import SparseIntMatrix, smith_normal_form
+from chevloops import SparseIntMatrix, smith_normal_form, snf
 
 
 def test_diag_2_3():
@@ -99,3 +99,12 @@ def test_entries_accumulate_and_validate():
     assert m.entries[(1, 1)] == 5
     with pytest.raises(ValueError):
         SparseIntMatrix(2, 2, [(2, 0, 1)])
+
+
+@pytest.mark.parametrize("corrupt", [lambda d: sorted(d)[1:],
+                                     lambda d: sorted(d) + [5]],
+                         ids=["factor_dropped", "factor_added"])
+def test_rank_cross_check_refuses_a_wrong_diagonal(monkeypatch, corrupt):
+    monkeypatch.setattr(snf, "_divisibility_chain", corrupt)
+    with pytest.raises(RuntimeError, match="rank cross-check"):
+        smith_normal_form(SparseIntMatrix.from_rows([[2, 0, 1], [0, 3, 0]]))
