@@ -7,6 +7,7 @@ module both run exactly this code.
 
 from __future__ import annotations
 
+import functools
 import random
 import time
 from fractions import Fraction
@@ -24,6 +25,9 @@ from .simplicial import (SimplexMatrix, SimplexPoly, degeneracy, face,
 from .steinberg import SteinbergWord, in_k2, symbol_word
 
 DEFAULT_SEED = 1729
+
+# the clock every criterion is timed with
+_clock = time.perf_counter
 
 _PRIMES_TO_97 = [2, 3, 5, 7, 11, 13, 17, 19, 23, 29, 31, 37, 41, 43, 47,
                  53, 59, 61, 67, 71, 73, 79, 83, 89, 97]
@@ -65,9 +69,26 @@ def _diff_matrix(a: GroupMatrix, b: GroupMatrix):
             for i in range(a.n)]
 
 
-def criterion_1(seed: int) -> dict:
+def _criterion(name: str, budget: float):
+    """Turn a check ``seed -> (ok, details)`` into a criterion ``seed ->
+    record``; the record passes when the check does and ran within
+    ``budget`` seconds."""
+    def wrap(check):
+        @functools.wraps(check)
+        def run(seed: int) -> dict:
+            t0 = _clock()
+            ok, details = check(seed)
+            seconds = _clock() - t0
+            return {"name": name, "passed": ok and seconds < budget,
+                    "seconds": seconds, "budget_seconds": budget,
+                    "details": details}
+        return run
+    return wrap
+
+
+@_criterion("sl2 closed form equals definitional product", 1.0)
+def criterion_1(seed: int):
     """SL2 closed-form reproduction over Q and F_101, 20 pairs each."""
-    t0 = time.perf_counter()
     failures = []
     checked = 0
     for field in (QQ, GF(101)):
@@ -84,19 +105,12 @@ def criterion_1(seed: int) -> dict:
                     "u": str(u), "v": str(v),
                     "difference": _diff_matrix(lhs, rhs),
                 })
-    seconds = time.perf_counter() - t0
-    return {
-        "name": "sl2 closed form equals definitional product",
-        "passed": not failures and seconds < 1.0,
-        "seconds": seconds,
-        "budget_seconds": 1.0,
-        "details": {"pairs_checked": checked, "mismatches": failures},
-    }
+    return not failures, {"pairs_checked": checked, "mismatches": failures}
 
 
-def criterion_2(seed: int) -> dict:
+@_criterion("c-loops are loops; h-paths end at h(u) and are not loops", 5.0)
+def criterion_2(seed: int):
     """Loop contract for SL2/SL3/SL4, all roots, 50 unit pairs per ring."""
-    t0 = time.perf_counter()
     bad = 0
     loops_checked = 0
     paths_checked = 0
@@ -122,20 +136,13 @@ def criterion_2(seed: int) -> dict:
                         bad += 1
                     if path.at(1) != h_elem(root, a, n, field):
                         bad += 1
-    seconds = time.perf_counter() - t0
-    return {
-        "name": "c-loops are loops; h-paths end at h(u) and are not loops",
-        "passed": bad == 0 and seconds < 5.0,
-        "seconds": seconds,
-        "budget_seconds": 5.0,
-        "details": {"c_loops": loops_checked, "h_paths": paths_checked,
-                    "violations": bad},
-    }
+    return bad == 0, {"c_loops": loops_checked, "h_paths": paths_checked,
+                      "violations": bad}
 
 
-def criterion_3(seed: int) -> dict:
+@_criterion("W(u)W(-u)=1, w(u)^-1=w(-u); H(a)H(b)=H(b)H(a) refuted", 1.0)
+def criterion_3(seed: int):
     """Exact path identities and one correctly refuted non-identity."""
-    t0 = time.perf_counter()
     ok = True
     for field in (QQ, GF(7)):
         rng = random.Random(str((seed, "c3", field.descriptor())))
@@ -153,16 +160,10 @@ def criterion_3(seed: int) -> dict:
         [h_loop((1, 2), two, 2, QQ), h_loop((1, 2), three, 2, QQ)],
         [h_loop((1, 2), three, 2, QQ), h_loop((1, 2), two, 2, QQ)])
     refuted = (not eq) and cert is not None
-    seconds = time.perf_counter() - t0
-    return {
-        "name": "W(u)W(-u)=1, w(u)^-1=w(-u); H(a)H(b)=H(b)H(a) refuted",
-        "passed": ok and refuted and seconds < 1.0,
-        "seconds": seconds,
-        "budget_seconds": 1.0,
-        "details": {"identities_hold": ok, "noncommutativity_refuted":
-                    refuted, "certificate_entry": None if cert is None else
-                    {"row": cert[0], "col": cert[1]}},
-    }
+    return ok and refuted, {
+        "identities_hold": ok, "noncommutativity_refuted": refuted,
+        "certificate_entry": None if cert is None else
+        {"row": cert[0], "col": cert[1]}}
 
 
 def _random_elementary_product(rng, ring, n, count, param_factory):
@@ -174,9 +175,10 @@ def _random_elementary_product(rng, ring, n, count, param_factory):
     return multiply_factors(ring, n, factors)
 
 
-def criterion_4(seed: int) -> dict:
+@_criterion("factor_elementary re-multiplies; lifted words project to y(1)",
+            30.0)
+def criterion_4(seed: int):
     """Factorization soundness and the path -> word contract in SL3."""
-    t0 = time.perf_counter()
     n = 3
     bad = 0
     loop_cases = 0
@@ -208,20 +210,13 @@ def criterion_4(seed: int) -> dict:
                 loop_cases += 1
                 if not in_k2(word):
                     bad += 1
-    seconds = time.perf_counter() - t0
-    return {
-        "name": "factor_elementary re-multiplies; lifted words project to y(1)",
-        "passed": bad == 0 and loop_cases >= 60 and seconds < 30.0,
-        "seconds": seconds,
-        "budget_seconds": 30.0,
-        "details": {"cases": 200, "loop_cases": loop_cases,
-                    "violations": bad},
-    }
+    return bad == 0 and loop_cases >= 60, {
+        "cases": 200, "loop_cases": loop_cases, "violations": bad}
 
 
-def criterion_5(seed: int) -> dict:
+@_criterion("simplicial identities hold; e12(X1X2) contracts e12(T-T^2)", 2.0)
+def criterion_5(seed: int):
     """Simplicial identities on random data plus the explicit witness."""
-    t0 = time.perf_counter()
     bad = 0
     rng = random.Random(str((seed, "c5")))
     fields = (QQ, GF(7))
@@ -269,21 +264,16 @@ def criterion_5(seed: int) -> dict:
         r2, [[r2.one, r2.gen("X1")], [r2.zero, r2.one]]))
     witness_ok = witness_ok and not verify_homotopy_witness(
         sigma_bad, const, the_loop)
-    seconds = time.perf_counter() - t0
-    return {
-        "name": "simplicial identities hold; e12(X1X2) contracts e12(T-T^2)",
-        "passed": bad == 0 and witness_ok and seconds < 2.0,
-        "seconds": seconds,
-        "budget_seconds": 2.0,
-        "details": {"random_inputs": 200, "violations": bad,
-                    "witness_certified": witness_ok},
-    }
+    return bad == 0 and witness_ok, {
+        "random_inputs": 200, "violations": bad,
+        "witness_certified": witness_ok}
 
 
-def criterion_6(seed: int) -> dict:
+@_criterion("tame symbols: bilinear, antisymmetric, Steinberg; "
+            "tau_3({2,3}) = 2", 2.0)
+def criterion_6(seed: int):
     """Tame-symbol bilinearity, antisymmetry, Steinberg vanishing,
     and the nontriviality certificate tau_3({2,3}) = 2."""
-    t0 = time.perf_counter()
     rng = random.Random(str((seed, "c6")))
     bad = 0
     small_primes = [2, 3, 5, 7, 11, 13]
@@ -301,38 +291,22 @@ def criterion_6(seed: int) -> dict:
         tame_symbol(u, 1 - u, p) == 1
         for u in range(2, 51) for p in _PRIMES_TO_97)
     certificate = tame_symbol(2, 3, 3)
-    seconds = time.perf_counter() - t0
-    return {
-        "name": "tame symbols: bilinear, antisymmetric, Steinberg; "
-                "tau_3({2,3}) = 2",
-        "passed": (bad == 0 and steinberg_ok and certificate == 2
-                   and seconds < 2.0),
-        "seconds": seconds,
-        "budget_seconds": 2.0,
-        "details": {"random_triples": 500, "violations": bad,
-                    "steinberg_vanishing": steinberg_ok,
-                    "tau_3_of_2_3": certificate},
-    }
+    return bad == 0 and steinberg_ok and certificate == 2, {
+        "random_triples": 500, "violations": bad,
+        "steinberg_vanishing": steinberg_ok, "tau_3_of_2_3": certificate}
 
 
-def criterion_7(seed: int) -> dict:
+@_criterion("Milnor K2 of small finite fields is trivial", 10.0)
+def criterion_7(seed: int):
     """Milnor K2 of F_q is trivial for q in {2,3,4,5,7,8,9,11,13}."""
-    t0 = time.perf_counter()
     results = {}
     ok = True
     for q in (2, 3, 4, 5, 7, 8, 9, 11, 13):
         pres = milnor_k2_finite_field(q)
-        results[q] = {"invariant_factors": pres.invariant_factors,
-                      "free_rank": pres.free_rank}
+        results[str(q)] = {"invariant_factors": pres.invariant_factors,
+                           "free_rank": pres.free_rank}
         ok = ok and pres.is_trivial()
-    seconds = time.perf_counter() - t0
-    return {
-        "name": "Milnor K2 of small finite fields is trivial",
-        "passed": ok and seconds < 10.0,
-        "seconds": seconds,
-        "budget_seconds": 10.0,
-        "details": {str(q): r for q, r in results.items()},
-    }
+    return ok, results
 
 
 def _cyclic_generator(order: int) -> list[GroupMatrix]:
@@ -367,15 +341,17 @@ def _mult_order(x, field) -> int:
     return k
 
 
-def criterion_8(seed: int) -> dict:
-    """Bar-resolution Schur multipliers of small matrix groups."""
-    t0 = time.perf_counter()
+@_criterion("Schur multipliers: cyclic trivial, Klein Z/2, SL2(F3) trivial",
+            60.0 * 14)
+def criterion_8(seed: int):
+    """Bar-resolution Schur multipliers of small matrix groups, each group
+    within 60 seconds."""
     per_group = {}
     ok = True
     for order in range(1, 13):
-        g0 = time.perf_counter()
+        g0 = _clock()
         pres = schur_multiplier(_cyclic_generator(order))
-        dt = time.perf_counter() - g0
+        dt = _clock() - g0
         per_group[f"C{order}"] = {
             "invariant_factors": pres.invariant_factors, "seconds": dt}
         ok = ok and pres.is_trivial() and dt < 60.0
@@ -387,38 +363,31 @@ def criterion_8(seed: int) -> dict:
                               [zero, zero, one]]),
              GroupMatrix(f3, [[one, zero, zero], [zero, two, zero],
                               [zero, zero, two]])]
-    g0 = time.perf_counter()
+    g0 = _clock()
     pres = schur_multiplier(klein)
-    dt = time.perf_counter() - g0
+    dt = _clock() - g0
     per_group["klein_four"] = {
         "invariant_factors": pres.invariant_factors, "seconds": dt}
     ok = ok and pres.invariant_factors == [2] and pres.free_rank == 0
     ok = ok and dt < 60.0
 
     sl2f3 = [elem((1, 2), 1, 2, f3), elem((2, 1), 1, 2, f3)]
-    g0 = time.perf_counter()
+    g0 = _clock()
     pres = schur_multiplier(sl2f3)
-    dt = time.perf_counter() - g0
+    dt = _clock() - g0
     per_group["SL2(F3)"] = {
         "invariant_factors": pres.invariant_factors, "seconds": dt,
         "order": pres.metadata["group_order"]}
     ok = ok and pres.is_trivial() and pres.metadata["group_order"] == 24
     ok = ok and dt < 60.0
-
-    seconds = time.perf_counter() - t0
-    return {
-        "name": "Schur multipliers: cyclic trivial, Klein Z/2, SL2(F3) trivial",
-        "passed": ok,
-        "seconds": seconds,
-        "budget_seconds": 60.0 * 14,
-        "details": per_group,
-    }
+    return ok, per_group
 
 
-def criterion_9(seed: int) -> dict:
+@_criterion("symbol words reduce and land in K2; project is a homomorphism",
+            5.0)
+def criterion_9(seed: int):
     """Steinberg-word layer: symbol reduction, kernel membership, and the
     projection homomorphism."""
-    t0 = time.perf_counter()
     bad = 0
     n = 3
     root = (1, 2)
@@ -442,14 +411,7 @@ def criterion_9(seed: int) -> dict:
             a, b = random_word(), random_word()
             if (a * b).project() != a.project() * b.project():
                 bad += 1
-    seconds = time.perf_counter() - t0
-    return {
-        "name": "symbol words reduce and land in K2; project is a homomorphism",
-        "passed": bad == 0 and seconds < 5.0,
-        "seconds": seconds,
-        "budget_seconds": 5.0,
-        "details": {"violations": bad},
-    }
+    return bad == 0, {"violations": bad}
 
 
 CRITERIA = [criterion_1, criterion_2, criterion_3, criterion_4, criterion_5,

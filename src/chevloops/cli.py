@@ -21,7 +21,7 @@ from .factorization import factor_elementary, path_to_steinberg
 from .loops import c_loop, verify_path_identity
 from .oracles import milnor_k2_finite_field, schur_multiplier, tame_symbol
 from .rings import FiniteField, QQ
-from .simplicial import face, path_to_simplex, verify_homotopy_witness
+from .simplicial import _check_witness, face, path_to_simplex
 from .steinberg import in_k2
 
 
@@ -235,14 +235,11 @@ def _cmd_verify_homotopy(args) -> int:
     sigma = serialize.simplex_matrix_from_json(_read_json(args.sigma))
     loop_from = _load_level1(_read_json(args.src))
     loop_to = _load_level1(_read_json(args.dst))
-    certified = verify_homotopy_witness(sigma, loop_from, loop_to)
+    certified, faces = _check_witness(sigma, loop_from, loop_to)
     return _emit({
         "certified": certified,
-        "faces": {
-            "d0": serialize.simplex_matrix_to_json(face(0, sigma)),
-            "d1": serialize.simplex_matrix_to_json(face(1, sigma)),
-            "d2": serialize.simplex_matrix_to_json(face(2, sigma)),
-        },
+        "faces": {f"d{k}": serialize.simplex_matrix_to_json(f)
+                  for k, f in enumerate(faces)},
     })
 
 

@@ -242,26 +242,8 @@ class FqElement:
             raise ZeroDivisionError(f"0 is not invertible in {f!r}")
         if f.e == 1:
             return FqElement(f, (pow(self.coeffs[0], -1, f.p),))
-        # extended Euclid against the field polynomial in F_p[x]
-        p = f.p
-        r0, r1 = list(f.modulus), [c for c in self.coeffs]
-        while len(r1) > 1 and r1[-1] == 0:
-            r1.pop()
-        t0, t1 = [0], [1]
-        while len(r1) > 1:
-            q, r = _poly_divmod_modp(r0, r1, p)
-            r0, r1 = r1, r
-            # t0 - q*t1
-            nt = list(t0) + [0] * max(0, len(q) + len(t1) - 1 - len(t0))
-            for i, qi in enumerate(q):
-                if qi:
-                    for j, tj in enumerate(t1):
-                        nt[i + j] = (nt[i + j] - qi * tj) % p
-            t0, t1 = t1, nt
-        c_inv = pow(r1[0], -1, p)
-        out = [(c * c_inv) % p for c in t1]
-        out += [0] * (f.e - len(out))
-        return FqElement(f, tuple(out[:f.e]))
+        # Fermat: x^(q-1) = 1 on the units
+        return self ** (f.q - 2)
 
     def __eq__(self, other):
         if isinstance(other, int):
@@ -785,26 +767,12 @@ class Poly:
             if vs[0] not in assignment:
                 return self
             return self._evaluate_dense(base(assignment[vs[0]]))
-        values = {v: base(x) for v, x in assignment.items() if v in vs}
-        keep = tuple(v for v in vs if v not in values)
-        if not keep:
-            total = base.zero
-            for e, c in self._c.items():
-                for v, k in zip(vs, e):
-                    if k:
-                        c = c * values[v] ** k
-                total = total + c
-            return total
-        keep_idx = [i for i, v in enumerate(vs) if v in keep]
-        out: dict = {}
-        zero = base.zero
-        for e, c in self._c.items():
-            for i, v in enumerate(vs):
-                if v in values and e[i]:
-                    c = c * values[v] ** e[i]
-            ne = tuple(e[i] for i in keep_idx)
-            out[ne] = out.get(ne, zero) + c
-        return Poly(PolyRing(base, keep), out)
+        keep = tuple(v for v in vs if v not in assignment)
+        target = PolyRing(base, keep)
+        image = self.substitute(
+            {v: target.gen(v) if v in keep else base(assignment[v])
+             for v in vs}, target)
+        return image if keep else image.constant_value()
 
     def _evaluate_dense(self, t):
         """Horner's rule on the coefficient tuple; t is a base scalar."""

@@ -28,7 +28,6 @@ SCHEMA_WORD = "chevloops/word/v1"
 SCHEMA_SIMPLEX_POLY = "chevloops/simplex-poly/v1"
 SCHEMA_SIMPLEX_MATRIX = "chevloops/simplex-matrix/v1"
 SCHEMA_PRESENTATION = "chevloops/presentation/v1"
-SCHEMA_GENERATORS = "chevloops/generators/v1"
 
 
 # ---------------------------------------------------------------------------

@@ -97,49 +97,50 @@ class SimplexMatrix:
 _MAPPING_CACHE: dict = {}
 
 
-def _face_mapping(field, level: int, i: int) -> tuple[dict, PolyRing, dict]:
-    key = (field, level, i, "d")
+def _structure_map(field, level: int, i: int,
+                   kind: str) -> tuple[dict, PolyRing, dict]:
+    """The substitution of d_i (kind "d") or s_i (kind "s") at ``level``."""
+    key = (field, level, i, kind)
     hit = _MAPPING_CACHE.get(key)
     if hit is not None:
         return hit
-    target = simplex_ring(field, level - 1)
+    step = -1 if kind == "d" else 1
+    target = simplex_ring(field, level + step)
+    gens = target.gens()
+    # X0, X1, ... of the target level, with X0 re-eliminated
+    x = (target.one - sum(gens, target.zero),) + gens
     mapping = {}
     for j in range(1, level + 1):
-        var = f"X{j}"
         if j < i:
-            mapping[var] = target.gen(var)
-        elif j == i:
-            mapping[var] = target.zero
-        elif j - 1 == 0:
-            # X0 of the target level, re-eliminated
-            x0 = target.one
-            for g in target.gens():
-                x0 = x0 - g
-            mapping[var] = x0
+            image = x[j]
+        elif j > i:
+            image = x[j + step]
+        elif kind == "d":
+            image = target.zero
         else:
-            mapping[var] = target.gen(f"X{j - 1}")
+            image = x[i] + x[i + 1]
+        mapping[f"X{j}"] = image
     hit = _MAPPING_CACHE[key] = (mapping, target, {})
     return hit
 
 
-def _degeneracy_mapping(field, level: int,
-                        i: int) -> tuple[dict, PolyRing, dict]:
-    key = (field, level, i, "s")
-    hit = _MAPPING_CACHE.get(key)
-    if hit is not None:
-        return hit
-    target = simplex_ring(field, level + 1)
-    mapping = {}
-    for j in range(1, level + 1):
-        var = f"X{j}"
-        if j < i:
-            mapping[var] = target.gen(var)
-        elif j == i:
-            mapping[var] = target.gen(f"X{i}") + target.gen(f"X{i + 1}")
-        else:
-            mapping[var] = target.gen(f"X{j + 1}")
-    hit = _MAPPING_CACHE[key] = (mapping, target, {})
-    return hit
+def _substitute_rows(matrix: GroupMatrix, mapping: dict, target: PolyRing,
+                     memo: dict | None = None) -> GroupMatrix:
+    return GroupMatrix(target, [[e.substitute(mapping, target, memo)
+                                 for e in row] for row in matrix.rows])
+
+
+def _apply(kind: str, i: int, x):
+    mapping, target, memo = _structure_map(x.field, x.level, i, kind)
+    level = len(target.variables)
+    if isinstance(x, SimplexPoly):
+        return SimplexPoly(x.field, level,
+                           x.poly.substitute(mapping, target, memo))
+    if isinstance(x, SimplexMatrix):
+        return SimplexMatrix(x.field, level,
+                             _substitute_rows(x.matrix, mapping, target, memo))
+    noun = "faces" if kind == "d" else "degeneracies"
+    raise ValueError(f"cannot take {noun} of {x!r}")
 
 
 def face(i: int, x):
@@ -149,15 +150,7 @@ def face(i: int, x):
         raise ValueError("faces need level >= 1")
     if not 0 <= i <= level:
         raise ValueError(f"face index {i} out of range for level {level}")
-    mapping, target, memo = _face_mapping(x.field, level, i)
-    if isinstance(x, SimplexPoly):
-        return SimplexPoly(x.field, level - 1,
-                           x.poly.substitute(mapping, target, memo))
-    if isinstance(x, SimplexMatrix):
-        rows = [[e.substitute(mapping, target, memo) for e in row]
-                for row in x.matrix.rows]
-        return SimplexMatrix(x.field, level - 1, GroupMatrix(target, rows))
-    raise ValueError(f"cannot take faces of {x!r}")
+    return _apply("d", i, x)
 
 
 def degeneracy(i: int, x):
@@ -165,25 +158,14 @@ def degeneracy(i: int, x):
     level = x.level
     if not 0 <= i <= level:
         raise ValueError(f"degeneracy index {i} out of range for level {level}")
-    mapping, target, memo = _degeneracy_mapping(x.field, level, i)
-    if isinstance(x, SimplexPoly):
-        return SimplexPoly(x.field, level + 1,
-                           x.poly.substitute(mapping, target, memo))
-    if isinstance(x, SimplexMatrix):
-        rows = [[e.substitute(mapping, target, memo) for e in row]
-                for row in x.matrix.rows]
-        return SimplexMatrix(x.field, level + 1, GroupMatrix(target, rows))
-    raise ValueError(f"cannot take degeneracies of {x!r}")
+    return _apply("s", i, x)
 
 
 def path_to_simplex(path: PathMatrix) -> SimplexMatrix:
     """Reinterpret a path over k[T] as a level-1 simplex via T = X1."""
-    field = path.base
-    target = simplex_ring(field, 1)
-    x1 = target.gen("X1")
-    rows = [[e.substitute({"T": x1}, target) for e in row]
-            for row in path.matrix.rows]
-    return SimplexMatrix(field, 1, GroupMatrix(target, rows))
+    target = simplex_ring(path.base, 1)
+    return SimplexMatrix(path.base, 1, _substitute_rows(
+        path.matrix, {"T": target.gen("X1")}, target))
 
 
 def simplex_to_path(sm: SimplexMatrix) -> PathMatrix:
@@ -191,10 +173,7 @@ def simplex_to_path(sm: SimplexMatrix) -> PathMatrix:
     if sm.level != 1:
         raise ValueError("only level-1 simplices are paths")
     ring = path_ring(sm.field)
-    t = ring.gen("T")
-    rows = [[e.substitute({"X1": t}, ring) for e in row]
-            for row in sm.matrix.rows]
-    return PathMatrix(GroupMatrix(ring, rows))
+    return PathMatrix(_substitute_rows(sm.matrix, {"X1": ring.gen("T")}, ring))
 
 
 def moore_is_loop(g: SimplexMatrix) -> bool:
@@ -207,14 +186,10 @@ def moore_is_loop(g: SimplexMatrix) -> bool:
     return face(0, g).is_identity() and face(1, g).is_identity()
 
 
-def verify_homotopy_witness(sigma: SimplexMatrix, loop_from: SimplexMatrix,
-                            loop_to: SimplexMatrix) -> bool:
-    """Check a level-2 witness that two loops agree in the fundamental group.
-
-    The witness must lie in the Moore complex at level 2 (d1 and d2 both
-    trivial) and its Moore boundary d0 must equal loop_to * loop_from^{-1}.
-    A True result certifies the two loops are homotopic.
-    """
+def _check_witness(sigma: SimplexMatrix, loop_from: SimplexMatrix,
+                   loop_to: SimplexMatrix) -> tuple[bool, tuple]:
+    """:func:`verify_homotopy_witness`, also returning the faces
+    (d0, d1, d2) of sigma."""
     if sigma.level != 2:
         raise ValueError("a homotopy witness lives at level 2")
     if not moore_is_loop(loop_from) or not moore_is_loop(loop_to):
@@ -223,16 +198,25 @@ def verify_homotopy_witness(sigma: SimplexMatrix, loop_from: SimplexMatrix,
         raise ValueError("witness and loops must share one base field")
     if loop_from.n != sigma.n or loop_to.n != sigma.n:
         raise ValueError("witness and loops must have matching matrix size")
-    if not face(1, sigma).is_identity():
-        return False
-    if not face(2, sigma).is_identity():
-        return False
-    boundary = face(0, sigma)
-    expected = loop_to.matrix * loop_from.matrix.inverse()
-    if boundary.matrix != expected:
-        return False
+    d1, d2, boundary = face(1, sigma), face(2, sigma), face(0, sigma)
+    faces = (boundary, d1, d2)
+    if not (d1.is_identity() and d2.is_identity()):
+        return False, faces
+    if boundary.matrix != loop_to.matrix * loop_from.matrix.inverse():
+        return False, faces
     # implied by the simplicial identities; a failure here means the face
     # maps themselves are broken
     if not moore_is_loop(boundary):
         raise RuntimeError("certified boundary is not a loop")
-    return True
+    return True, faces
+
+
+def verify_homotopy_witness(sigma: SimplexMatrix, loop_from: SimplexMatrix,
+                            loop_to: SimplexMatrix) -> bool:
+    """Check a level-2 witness that two loops agree in the fundamental group.
+
+    The witness must lie in the Moore complex at level 2 (d1 and d2 both
+    trivial) and its Moore boundary d0 must equal loop_to * loop_from^{-1}.
+    A True result certifies the two loops are homotopic.
+    """
+    return _check_witness(sigma, loop_from, loop_to)[0]

@@ -4,8 +4,8 @@ The elimination is fraction-free throughout: pivots are chosen by
 minimal absolute value (ties broken towards low fill), rows and columns
 are cleared with integer transvections, and the resulting diagonal is
 fixed up into a divisibility chain by gcd/lcm exchanges.  A modular
-consistency check recomputes the rank over two random primes larger
-than every invariant factor and refuses to return on a mismatch.
+consistency check recomputes the rank over the two smallest primes above
+10^6 and every invariant factor, and refuses to return on a mismatch.
 
 ``_local_smith`` computes the Smith form over Z/p^k instead, by sparse
 elimination against unit-lead pivots.  With k = 1 it gives the ranks of
@@ -15,7 +15,6 @@ that cross-check; the Schur oracle reads the p-parts of H_2 from it.
 from __future__ import annotations
 
 import math
-import random
 from heapq import heapify, heappop, heappush
 from typing import Iterable, NamedTuple
 
@@ -62,12 +61,6 @@ class SparseIntMatrix:
         return SparseIntMatrix(
             self.ncols, self.nrows,
             [(j, i, v) for (i, j), v in self.entries.items()])
-
-    def row_dicts(self) -> dict[int, dict[int, int]]:
-        rows: dict[int, dict[int, int]] = {}
-        for (i, j), v in self.entries.items():
-            rows.setdefault(i, {})[j] = v
-        return rows
 
     def __eq__(self, other):
         if not isinstance(other, SparseIntMatrix):
@@ -285,19 +278,12 @@ def smith_normal_form(matrix: SparseIntMatrix) -> SNFResult:
 
     # modular consistency: the rank over F_p equals the number of nonzero
     # invariant factors whenever p exceeds all of them
-    bound = max(factors, default=1)
-    rng = random.Random(0x5EED)
-    start = max(bound + 1, 10 ** 6)
-    candidates = []
-    p = start
-    for _ in range(12):
-        p = _next_prime(p)
-        candidates.append(p)
+    first = _next_prime(max(factors + [10 ** 6]))
     cols: dict[int, dict[int, int]] = {}
     for (i, j), v in matrix.entries.items():
         cols.setdefault(j, {})[i] = v
     full = min(matrix.nrows, matrix.ncols)
-    for p in rng.sample(candidates, 2):
+    for p in (first, _next_prime(first)):
         if _local_smith(list(cols.values()), p, 1, full)[0] != len(factors):
             raise RuntimeError(
                 f"Smith normal form failed its mod-{p} rank cross-check")

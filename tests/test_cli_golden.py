@@ -8,6 +8,11 @@ leave them untouched.  The cases cover ``factor`` (a C_T(u, v) loop and a
 dense conjugated 3x3 matrix), ``lift`` (a loop and an H_T(u) path),
 ``verify-loop`` and ``verify-identity`` (H(u)H(v) = C(u, v)H(uv) holds,
 H(u)H(v) = H(v)H(u) is refuted).
+
+The k[D^n] cases cover ``simplicial-face`` (d0 of a level-3 polynomial and
+of a level-2 matrix) and ``verify-homotopy`` (a certified witness, one
+refuted at d0 and one refuted at d1).  They carry extra ``flags`` and, when
+a command reads several documents, an ``inputs`` map from flag to document.
 """
 
 import json
@@ -25,18 +30,31 @@ CASES = json.loads(
 def test_golden_cases_cover_every_command_and_ring():
     assert {(c["command"], c["ring"]) for c in CASES} == {
         (cmd, ring) for cmd in ("factor", "lift", "verify-loop",
-                                "verify-identity")
+                                "verify-identity", "simplicial-face",
+                                "verify-homotopy")
         for ring in ("Q", "F7", "F9")}
     assert {json.loads(c["stdout"]).get("equal") for c in CASES
             if c["command"] == "verify-identity"} == {True, False}
+    for ring in ("Q", "F7", "F9"):
+        assert {c["input"]["schema"] for c in CASES
+                if c["command"] == "simplicial-face" and c["ring"] == ring
+                } == {"chevloops/simplex-poly/v1",
+                      "chevloops/simplex-matrix/v1"}
+        assert sorted(json.loads(c["stdout"])["certified"] for c in CASES
+                      if c["command"] == "verify-homotopy"
+                      and c["ring"] == ring) == [False, False, True]
 
 
 @pytest.mark.parametrize(
     "case", CASES,
     ids=[f"{c['command']}-{c['ring']}-{k}" for k, c in enumerate(CASES)])
 def test_cli_output_bytes(case, tmp_path, capsys):
-    src = tmp_path / "in.json"
-    src.write_text(json.dumps(case["input"]), encoding="utf-8")
-    code = main([case["command"], "--in", str(src)])
+    argv = [case["command"], *case.get("flags", [])]
+    inputs = case.get("inputs") or {"--in": case["input"]}
+    for k, (flag, doc) in enumerate(inputs.items()):
+        src = tmp_path / f"in{k}.json"
+        src.write_text(json.dumps(doc), encoding="utf-8")
+        argv += [flag, str(src)]
+    code = main(argv)
     assert capsys.readouterr().out == case["stdout"]
     assert code == case["exit"]

@@ -41,6 +41,8 @@ def test_characteristic_kills_everything(q):
         for _ in range(p):
             acc = acc + x
         assert acc == field.zero
+        if x:
+            assert x * x.inverse() == field.one
 
 
 def test_fq_canonical_representation():
@@ -176,6 +178,34 @@ def test_poly_eval_partial_assignment():
     assert g.ring.variables == ("Y",)
     yy = g.ring.gen("Y")
     assert g == 2 * yy + yy ** 2
+
+
+@pytest.mark.parametrize("field", [QQ, GF(7), GF(9)])
+def test_poly_eval_multivariate_matches_the_term_sum(field):
+    rng = random.Random(f"evalxyz-{field!r}")
+    vs = ("X", "Y", "Z")
+    ring = PolyRing(field, vs)
+    for _ in range(25):
+        f = Poly(ring, {tuple(rng.randint(0, 3) for _ in vs): c
+                        for c in _sample(field, rng, 6)})
+        point = dict(zip(vs, _sample(field, rng, 3)))
+        for keep in ((), ("X",), ("Y",), ("Z",), ("X", "Z"), ("Y", "Z")):
+            assignment = {v: x for v, x in point.items() if v not in keep}
+            # sum over the terms, each with its assigned factors multiplied in
+            want = {}
+            for e, c in f.terms.items():
+                for v, k in zip(vs, e):
+                    if v not in keep:
+                        c = c * assignment[v] ** k
+                rest = tuple(k for v, k in zip(vs, e) if v in keep)
+                want[rest] = want.get(rest, field.zero) + c
+            got = f.evaluate(assignment)
+            if keep:
+                assert got.ring.variables == keep
+                assert got == Poly(PolyRing(field, keep), want)
+            else:
+                assert type(got) is type(field.one)
+                assert got == want.get((), field.zero)
 
 
 def test_poly_eval_is_a_homomorphism():

@@ -137,6 +137,18 @@ def test_homotopy_witness_rejects_wrong_sigma():
     sigma = SimplexMatrix(QQ, 2, elem((1, 2), r2.gen("X1"), 2, r2))
     const = path_to_simplex(identity_path(QQ, 2))
     assert not verify_homotopy_witness(sigma, const, const)
+    # e12(X2 X0) and e12(X1 X0) differ from e12(X1 X2) by a multiple of X0,
+    # so d0 is still e12(T - T^2); only d1, resp. d2, is not trivial
+    x1, x2 = r2.gens()
+    t = path_ring(QQ).gen("T")
+    the_loop = path_to_simplex(PathMatrix(elem((1, 2), t - t * t, 2,
+                                               path_ring(QQ))))
+    for param, bad_face in ((x2 - x2 * x2, 1), (x1 - x1 * x1, 2)):
+        sigma = SimplexMatrix(QQ, 2, elem((1, 2), param, 2, r2))
+        assert face(0, sigma).matrix == the_loop.matrix
+        assert not face(bad_face, sigma).is_identity()
+        assert face(3 - bad_face, sigma).is_identity()
+        assert not verify_homotopy_witness(sigma, const, the_loop)
 
 
 def test_homotopy_witness_preconditions():

@@ -102,13 +102,12 @@ def test_faces_and_degeneracies_agree_with_a_cold_memo(name):
     def check(data, level):
         ring = simplex_ring(field, level)
         sp = SimplexPoly(field, level, _poly(data, ring, scalars, 3, 5))
-        maps = [(i, degeneracy, simplicial._degeneracy_mapping)
-                for i in range(level + 1)]
+        maps = [(i, degeneracy, "s") for i in range(level + 1)]
         if level:
-            maps += [(i, face, simplicial._face_mapping)
-                     for i in range(level + 1)]
-        for i, op, lookup in maps:
-            mapping, target, memo = lookup(field, level, i)
+            maps += [(i, face, "d") for i in range(level + 1)]
+        for i, op, kind in maps:
+            mapping, target, memo = simplicial._structure_map(
+                field, level, i, kind)
             cold = sp.poly.substitute(mapping, target)
             assert cold == _reference(sp.poly, mapping, target)
             first = op(i, sp)
@@ -128,8 +127,8 @@ def test_memos_are_separate_per_field(monkeypatch):
     y = simplex_ring(QQ, 1).gen("X1")
     assert q_out.poly == (1 - y) ** 2 * 8
     assert f_out.poly == (1 - simplex_ring(GF(7), 1).gen("X1")) ** 2
-    q_memo = simplicial._face_mapping(QQ, 2, 0)[2]
-    f_memo = simplicial._face_mapping(GF(7), 2, 0)[2]
+    q_memo = simplicial._structure_map(QQ, 2, 0, "d")[2]
+    f_memo = simplicial._structure_map(GF(7), 2, 0, "d")[2]
     assert q_memo is not f_memo
     assert q_memo and f_memo
     assert all(img.ring.base is QQ for img in q_memo.values())
@@ -147,7 +146,7 @@ def test_memo_stays_within_its_bound(monkeypatch):
              for b in range(top + 1 - a)}
     sp = SimplexPoly(QQ, 2, Poly(ring, terms))
     assert len(sp.poly.terms) > SUBSTITUTE_MEMO_LIMIT
-    mapping, target, memo = simplicial._degeneracy_mapping(QQ, 2, 1)
+    mapping, target, memo = simplicial._structure_map(QQ, 2, 1, "s")
     cold = sp.poly.substitute(mapping, target)
     for _ in range(2):
         assert degeneracy(1, sp).poly == cold
