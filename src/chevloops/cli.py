@@ -84,6 +84,11 @@ def _parse_root(text: str):
         raise InputError(f"root must be 'i,j' with integers, got {text!r}")
 
 
+# Largest n accepted by --group sl<n>: a symbol loop has n^2 entries, and
+# sl256 answers in well under a second.
+MAX_MATRIX_SIZE = 256
+
+
 def _parse_group(text: str) -> int:
     if not text.startswith("sl"):
         raise InputError(f"group must be sl<n>, got {text!r}")
@@ -93,6 +98,9 @@ def _parse_group(text: str) -> int:
         raise InputError(f"group must be sl<n>, got {text!r}")
     if n < 2:
         raise InputError("group size must be at least 2")
+    if n > MAX_MATRIX_SIZE:
+        raise ValueError(f"group size {n} exceeds {MAX_MATRIX_SIZE} "
+                         f"(MAX_MATRIX_SIZE)")
     return n
 
 

@@ -15,28 +15,77 @@ as validation data only.
 
 from __future__ import annotations
 
+import functools
+import math
 import random
 from fractions import Fraction
 
 from .chevalley import GroupMatrix
-from .rings import _iroot, is_prime
+from .rings import MAX_PRIME_TEST, _iroot, is_prime
 from .snf import (SNFResult, SparseIntMatrix, _divisibility_chain,
                   _local_smith, _next_prime, smith_normal_form)
 
 
+_SMALL_PRIMES = [p for p in range(2, 100) if is_prime(p)]
+
+
+def _rho_divisor(n: int) -> int:
+    """A proper divisor of a composite n with no prime factor below 100,
+    by Pollard's rho with Brent's cycle search (Brent, BIT 20, 1980):
+    x -> x^2 + c from x = 2, with c = 1, 2, ... in turn until one splits n.
+    """
+    c = 0
+    while True:
+        c += 1
+        y, r, acc, g = 2, 1, 1, 1
+        while g == 1:
+            x = y
+            for _ in range(r):
+                y = (y * y + c) % n
+            k = 0
+            while k < r and g == 1:
+                ys = y
+                for _ in range(min(128, r - k)):
+                    y = (y * y + c) % n
+                    acc = acc * abs(x - y) % n
+                g = math.gcd(acc, n)
+                k += 128
+            r *= 2
+        if g == n:
+            # the batched product hit 0 mod n: step again from ys one by one
+            g = 1
+            while g == 1:
+                ys = (ys * ys + c) % n
+                g = math.gcd(abs(x - ys), n)
+        if g != n:
+            return g
+
+
 def prime_factors(n: int) -> set[int]:
-    """Primes dividing |n| (empty for 0 and +-1)."""
+    """Primes dividing |n| (empty for 0 and +-1), for |n| < MAX_PRIME_TEST.
+
+    Primes below 100 are divided out, the rest is split by Pollard-Brent
+    rho, and every factor returned is proven prime by ``is_prime``.
+    """
     n = abs(n)
+    if n >= MAX_PRIME_TEST:
+        raise ValueError(f"{n} is too large to factor "
+                         f"(MAX_PRIME_TEST = {MAX_PRIME_TEST})")
     out: set[int] = set()
-    d = 2
-    while d * d <= n:
-        if n % d == 0:
-            out.add(d)
-            while n % d == 0:
-                n //= d
-        d += 1 if d == 2 else 2
-    if n > 1:
-        out.add(n)
+    if n < 2:
+        return out
+    for p in _SMALL_PRIMES:
+        if n % p == 0:
+            out.add(p)
+            n = _strip_p(n, p)[0]
+    todo = [n] if n > 1 else []
+    while todo:
+        m = todo.pop()
+        if is_prime(m):
+            out.add(m)
+        else:
+            d = _rho_divisor(m)
+            todo += [d, m // d]
     return out
 
 
@@ -48,6 +97,11 @@ def _strip_p(n: int, p: int) -> tuple[int, int]:
     return n, v
 
 
+@functools.lru_cache(maxsize=256)
+def _checked_prime(p: int) -> bool:
+    return is_prime(p)
+
+
 def tame_symbol(a, b, p: int) -> int:
     """The tame symbol of {a, b} at p, as an integer in [1, p).
 
@@ -55,7 +109,7 @@ def tame_symbol(a, b, p: int) -> int:
 
         (-1)^(v(a) v(b)) * a^v(b) * b^(-v(a))   reduced mod p.
     """
-    if not is_prime(p):
+    if not _checked_prime(p):
         raise ValueError(f"{p} is not prime")
     a = Fraction(a)
     b = Fraction(b)
@@ -185,23 +239,19 @@ def _bar_complex(elems, identity):
     ``elems``: sparse dicts over the bases [g] and [g|h] of non-identity
     elements, in the order (g, h) and (g, h, k) with the last slot fastest.
     """
-    nontriv = [g for g in elems if g != identity]
-    idx = {g: k for k, g in enumerate(nontriv)}
+    index = {g: i for i, g in enumerate(elems)}
+    mul = [[index[a * b] for b in elems] for a in elems]
+    e = index[identity]
+    nontriv = [i for i in range(len(elems)) if i != e]
+    m = len(nontriv)
+    # basis position of [g] and, through slot[g] * m + slot[h], of [g|h]
+    slot = [None] * len(elems)
+    for s, i in enumerate(nontriv):
+        slot[i] = s
 
-    prod = {}
-    for a in elems:
-        for b in elems:
-            prod[(a, b)] = a * b
-
-    pair_idx = {}
-    for g in nontriv:
-        for h in nontriv:
-            pair_idx[(g, h)] = len(pair_idx)
-
-    def column(index, terms):
+    def column(terms):
         col: dict[int, int] = {}
-        for key, s in terms:
-            r = index.get(key)
+        for r, s in terms:
             if r is None:
                 continue
             col[r] = col.get(r, 0) + s
@@ -209,12 +259,15 @@ def _bar_complex(elems, identity):
                 del col[r]
         return col
 
+    def pair(g, h):
+        return None if g == e or h == e else slot[g] * m + slot[h]
+
     # d2[g|h] = [h] - [gh] + [g], dropping the degenerate [e]
-    d2_cols = [column(idx, ((h, 1), (prod[(g, h)], -1), (g, 1)))
-               for (g, h) in pair_idx]
+    d2_cols = [column(((slot[h], 1), (slot[mul[g][h]], -1), (slot[g], 1)))
+               for g in nontriv for h in nontriv]
     # d3[g|h|k] = [h|k] - [gh|k] + [g|hk] - [g|h], dropping tuples with e
-    d3_cols = [column(pair_idx, (((h, k), 1), ((prod[(g, h)], k), -1),
-                                 ((g, prod[(h, k)]), 1), ((g, h), -1)))
+    d3_cols = [column(((pair(h, k), 1), (pair(mul[g][h], k), -1),
+                       (pair(g, mul[h][k]), 1), (pair(g, h), -1)))
                for g in nontriv for h in nontriv for k in nontriv]
     return d2_cols, d3_cols
 

@@ -1,15 +1,23 @@
 """Sparse integer matrices and exact Smith normal form.
 
-The elimination is fraction-free throughout: pivots are chosen by
-minimal absolute value (ties broken towards low fill), rows and columns
-are cleared with integer transvections, and the resulting diagonal is
-fixed up into a divisibility chain by gcd/lcm exchanges.  A modular
-consistency check recomputes the rank over the two smallest primes above
-10^6 and every invariant factor, and refuses to return on a mismatch.
+Both Smith forms here start with one sparse elimination, ``_unit_pivots``,
+against pivots with a unit lead: over Z the units are +-1, over Z/p^k the
+entries prime to p.  Its pivots are triangular until the first remainder
+without a unit appears, and are kept fully reduced (Gauss-Jordan) from
+then on, so every later column reduces in one pass.
 
-``_local_smith`` computes the Smith form over Z/p^k instead, by sparse
-elimination against unit-lead pivots.  With k = 1 it gives the ranks of
-that cross-check; the Schur oracle reads the p-parts of H_2 from it.
+``smith_normal_form`` splits the +-1 pivots off as unit invariant factors
+and sends only the residual through a fraction-free Markowitz loop:
+pivots of minimal absolute value (ties broken towards low fill), rows and
+columns cleared with integer transvections, and the diagonal fixed up into
+a divisibility chain by gcd/lcm exchanges.  A modular consistency check
+recomputes the rank over the two smallest primes above 10^6 and every
+invariant factor, eliminating the vectors of the longer side so that the
+stop at full rank can fire, and refuses to return on a mismatch.
+
+``_local_smith`` computes the Smith form over Z/p^k, eliminating the
+non-unit remainders by minimal p-valuation.  With k = 1 it gives the ranks
+of that cross-check; the Schur oracle reads the p-parts of H_2 from it.
 """
 
 from __future__ import annotations
@@ -102,27 +110,51 @@ def _divisibility_chain(diag: list[int]) -> list[int]:
     return d
 
 
-def _local_smith(cols: list[dict[int, int]], p: int, k: int,
-                 stop: int) -> tuple[int, list[int]]:
-    """Smith form over Z/p^k of the matrix with sparse columns ``cols``.
+def _sub(c: dict[int, int], f: int, piv: dict[int, int], q: int):
+    """c -= f * piv in place, mod q (over Z when q = 0)."""
+    for r, v in piv.items():
+        nv = c.get(r, 0) - f * v
+        if q:
+            nv %= q
+        if nv:
+            c[r] = nv
+        else:
+            c.pop(r, None)
 
-    Returns ``(units, valuations)``: the number of unit invariant factors
-    and the p-valuations (each < k) of the others.  Columns are reduced in
-    the order given against pivots with a unit lead; pivot i is zero on
-    the leads of pivots 0..i-1, so reducing in creation order terminates.
-    Once ``stop`` unit pivots exist the rest is not read and valuations
-    is empty.  Otherwise the non-unit remainders are reduced again against
-    every pivot (they then vanish on all leads, and the unit pivots split
-    off as an invertible triangular block) and eliminated by minimal
-    p-valuation.
+
+def _unit_pivots(cols: list[dict[int, int]], p: int, q: int,
+                 stop: int) -> tuple[int, list[dict[int, int]]]:
+    """Eliminate the sparse columns ``cols`` against pivots with a unit lead.
+
+    Works over Z/q with q = p^k, where a unit is an entry prime to p, or
+    over Z with p = q = 0, where a unit is +-1; either way each pivot step
+    is invertible, so the pivots split off as unit invariant factors.
+    Returns ``(units, rest)``: the number of pivots, and the nonzero
+    remainders with no unit entry, reduced against every pivot so they
+    vanish on all leads.  Once ``stop`` pivots exist the rest is not read
+    and ``rest`` is empty.
+
+    Pivots start triangular: pivot i is zero on the leads of pivots
+    0..i-1, so a column is reduced against them in creation order, through
+    chains of pivots.  The first nonzero remainder without a unit means the
+    early stop may never fire; from then on the pivots are kept fully
+    reduced (Gauss-Jordan): they are back-substituted once, so each is
+    zero on every other lead, each later pivot clears its lead from the
+    existing ones, and a column reduces in one pass.
     """
-    q = p ** k
     pivots: list[dict[int, int]] = []
     leads: list[int] = []
     lead_of: dict[int, int] = {}
+    rest: list[dict[int, int]] = []
+    jordan = False
 
     def reduce(col: dict[int, int]) -> dict[int, int]:
-        c = {r: v % q for r, v in col.items() if v % q}
+        c = {r: v % q for r, v in col.items() if v % q} if q else dict(col)
+        if jordan:
+            for i, f in [(lead_of[r], v) for r, v in c.items()
+                         if r in lead_of]:
+                _sub(c, f, pivots[i], q)
+            return c
         heap = [lead_of[r] for r in c if r in lead_of]
         heapify(heap)
         while heap:
@@ -131,7 +163,9 @@ def _local_smith(cols: list[dict[int, int]], p: int, k: int,
             if not f:
                 continue
             for r, v in pivots[i].items():
-                nv = (c.get(r, 0) - f * v) % q
+                nv = c.get(r, 0) - f * v
+                if q:
+                    nv %= q
                 if nv:
                     if r not in c and r in lead_of:
                         heappush(heap, lead_of[r])
@@ -140,24 +174,55 @@ def _local_smith(cols: list[dict[int, int]], p: int, k: int,
                     c.pop(r, None)
         return c
 
-    rest: list[dict[int, int]] = []
     for col in cols:
         c = reduce(col)
         # the highest unit row as lead: on the bar complexes this needs
         # 9-50% fewer entry updates than the first unit row
-        lead = max((r for r, v in c.items() if v % p), default=None)
+        if q:
+            lead = max((r for r, v in c.items() if v % p), default=None)
+        else:
+            lead = max((r for r, v in c.items() if v in (1, -1)),
+                       default=None)
         if lead is None:
             if c:
                 rest.append(c)
+                if not jordan:
+                    jordan = True
+                    # pivot i is zero on leads 0..i-1, and the later ones
+                    # are already fully reduced
+                    for i in range(len(pivots) - 2, -1, -1):
+                        piv = pivots[i]
+                        for j, f in [(lead_of[r], v) for r, v in piv.items()
+                                     if lead_of.get(r, i) > i]:
+                            _sub(piv, f, pivots[j], q)
             continue
-        inv = pow(c[lead], -1, q)
+        inv = pow(c[lead], -1, q) if q else c[lead]
+        piv = {r: v * inv % q if q else v * inv for r, v in c.items()}
+        if jordan:
+            for other in pivots:
+                f = other.get(lead)
+                if f:
+                    _sub(other, f, piv, q)
         lead_of[lead] = len(pivots)
         leads.append(lead)
-        pivots.append({r: v * inv % q for r, v in c.items()})
+        pivots.append(piv)
         if len(pivots) == stop:
             return stop, []
+    return len(pivots), [c for c in map(reduce, rest) if c]
 
-    rest = [c for c in map(reduce, rest) if c]
+
+def _local_smith(cols: list[dict[int, int]], p: int, k: int,
+                 stop: int) -> tuple[int, list[int]]:
+    """Smith form over Z/p^k of the matrix with sparse columns ``cols``.
+
+    Returns ``(units, valuations)``: the number of unit invariant factors
+    and the p-valuations (each < k) of the others.  The unit pivots come
+    from ``_unit_pivots`` (so once ``stop`` of them exist, valuations is
+    empty); they split off as an invertible block, and the remainders,
+    which vanish on every lead, are eliminated by minimal p-valuation.
+    """
+    q = p ** k
+    units, rest = _unit_pivots(cols, p, q, stop)
     valuations: list[int] = []
     while rest:
         best = None
@@ -179,17 +244,11 @@ def _local_smith(cols: list[dict[int, int]], p: int, k: int,
         for c in rest:
             b = c.get(r)
             if b:
-                t = b // pe
-                for rr, v in pc.items():
-                    nv = (c.get(rr, 0) - t * v) % q
-                    if nv:
-                        c[rr] = nv
-                    else:
-                        c.pop(rr, None)
+                _sub(c, b // pe, pc, q)
             if c:
                 kept.append(c)
         rest = kept
-    return len(pivots), valuations
+    return units, valuations
 
 
 def _next_prime(n: int) -> int:
@@ -199,12 +258,13 @@ def _next_prime(n: int) -> int:
     return n
 
 
-def smith_normal_form(matrix: SparseIntMatrix) -> SNFResult:
-    """Invariant factors (including 1s) and free rank of coker, columns
-    read as generators and rows as relations."""
+def _markowitz_diagonal(entries: Iterable[tuple[int, int, int]]
+                        ) -> list[int]:
+    """A diagonal of the integer matrix with these (row, col, value)
+    entries that is equivalent to it, not yet a divisibility chain."""
     rows: dict[int, dict[int, int]] = {}
     cols: dict[int, set[int]] = {}
-    for (i, j), v in matrix.entries.items():
+    for i, j, v in entries:
         rows.setdefault(i, {})[j] = v
         cols.setdefault(j, set()).add(i)
 
@@ -273,18 +333,38 @@ def smith_normal_form(matrix: SparseIntMatrix) -> SNFResult:
         del rows[pi]
         del cols[pj]
 
-    factors = _divisibility_chain(diag)
+    return diag
+
+
+def smith_normal_form(matrix: SparseIntMatrix) -> SNFResult:
+    """Invariant factors (including 1s) and free rank of coker, columns
+    read as generators and rows as relations.
+
+    The columns first go through ``_unit_pivots`` over Z: a +-1 pivot is
+    a unimodular step, so the Smith form is 1s for the pivots plus that
+    of the residual, which alone goes through the Markowitz loop.  The
+    rank cross-check mod two primes then eliminates the rows or the
+    columns, whichever are more, and raises ``RuntimeError`` on a
+    mismatch.
+    """
+    cols: dict[int, dict[int, int]] = {}
+    rows: dict[int, dict[int, int]] = {}
+    for (i, j), v in matrix.entries.items():
+        cols.setdefault(j, {})[i] = v
+        rows.setdefault(i, {})[j] = v
+    full = min(matrix.nrows, matrix.ncols)
+    units, residual = _unit_pivots(list(cols.values()), 0, 0, full)
+    factors = [1] * units + _divisibility_chain(_markowitz_diagonal(
+        (i, j, v) for j, c in enumerate(residual) for i, v in c.items()))
     free_rank = matrix.ncols - len(factors)
 
     # modular consistency: the rank over F_p equals the number of nonzero
-    # invariant factors whenever p exceeds all of them
+    # invariant factors whenever p exceeds all of them.  On the longer
+    # side there are more vectors than full rank, so the early stop can fire.
     first = _next_prime(max(factors + [10 ** 6]))
-    cols: dict[int, dict[int, int]] = {}
-    for (i, j), v in matrix.entries.items():
-        cols.setdefault(j, {})[i] = v
-    full = min(matrix.nrows, matrix.ncols)
+    vectors = list((rows if matrix.nrows > matrix.ncols else cols).values())
     for p in (first, _next_prime(first)):
-        if _local_smith(list(cols.values()), p, 1, full)[0] != len(factors):
+        if _local_smith(vectors, p, 1, full)[0] != len(factors):
             raise RuntimeError(
                 f"Smith normal form failed its mod-{p} rank cross-check")
     return SNFResult(factors, free_rank)

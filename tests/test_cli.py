@@ -336,6 +336,19 @@ def test_bad_flags_are_exit_1(capsys):
     assert code == 1
 
 
+def test_group_size_is_capped(capsys):
+    def argv(n):
+        return ["symbol-loop", "--group", f"sl{n}", "--root", f"1,{n}",
+                "--u", "2", "--v", "3", "--ring", "Q"]
+    t0 = time.perf_counter()
+    assert main(argv(cli.MAX_MATRIX_SIZE)) == 0
+    assert time.perf_counter() - t0 < 1.0
+    capsys.readouterr()
+    code, doc = _run(capsys, argv(cli.MAX_MATRIX_SIZE + 1))
+    assert code == 2
+    assert "MAX_MATRIX_SIZE" in doc["error"]
+
+
 def test_domain_errors_are_exit_2(tmp_path, capsys):
     bad = {"schema": serialize.SCHEMA_MATRIX, "n": 2, "ring": "Q",
            "entries": [["2", "0"], ["0", "2"]]}   # det 4

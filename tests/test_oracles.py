@@ -1,12 +1,14 @@
 """Tame symbols, Milnor K2 of finite fields, and Schur multipliers."""
 
 import random
+import time
 from fractions import Fraction
 
 import pytest
 
 from chevloops import (GF, GroupMatrix, elem, milnor_k2_finite_field,
                        prime_factors, schur_multiplier, tame_symbol)
+from chevloops.rings import MAX_PRIME_TEST
 
 PRIMES_TO_97 = [2, 3, 5, 7, 11, 13, 17, 19, 23, 29, 31, 37, 41, 43, 47,
                 53, 59, 61, 67, 71, 73, 79, 83, 89, 97]
@@ -66,6 +68,48 @@ def test_prime_factors():
     assert prime_factors(-14) == {2, 7}
     assert prime_factors(1) == set()
     assert prime_factors(0) == set()
+
+
+@pytest.mark.parametrize("p", [0, 1, -1, -7, 4, 6, 91, MAX_PRIME_TEST,
+                               MAX_PRIME_TEST + 4])
+def test_tame_symbol_refuses_non_primes_every_time(p):
+    # the second call reads the memoized prime check
+    for _ in range(2):
+        with pytest.raises(ValueError):
+            tame_symbol(2, 3, p)
+
+
+def _trial_division(n):
+    n, out, d = abs(n), set(), 2
+    while d * d <= n:
+        if n % d == 0:
+            out.add(d)
+            while n % d == 0:
+                n //= d
+        d += 1
+    return out | {n} if n > 1 else out
+
+
+def test_prime_factors_matches_trial_division():
+    for n in range(-20, 10 ** 4):
+        assert prime_factors(n) == _trial_division(n), n
+
+
+@pytest.mark.parametrize("n,primes", [
+    (10 ** 18 + 3, {10 ** 18 + 3}),
+    (999999929 * 999999937, {999999929, 999999937}),
+    (101 ** 2 * 103 ** 3 * 999999937, {101, 103, 999999937})])
+def test_prime_factors_of_large_inputs_is_fast(n, primes):
+    t0 = time.perf_counter()
+    assert prime_factors(n) == primes
+    assert time.perf_counter() - t0 < 1.0
+
+
+def test_prime_factors_refuses_past_max_prime_test():
+    prime_factors(MAX_PRIME_TEST - 1)
+    for n in (MAX_PRIME_TEST, -MAX_PRIME_TEST):
+        with pytest.raises(ValueError, match="MAX_PRIME_TEST"):
+            prime_factors(n)
 
 
 @pytest.mark.parametrize("q", [2, 3, 4, 5, 7, 8, 9, 11, 13])

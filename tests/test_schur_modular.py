@@ -2,8 +2,9 @@
 
 ``schur_multiplier`` reads H_2 = ker d2 / im d3 off ranks at one large
 prime and local Smith forms of d3 at the primes dividing |G|.  Here the
-same bar complex also goes through ``smith_normal_form`` over Z, the
-definitional slow path, and both must agree.
+same bar complex also goes through ``smith_normal_form`` over Z, and
+both must agree.  The two share their unit-pivot elimination, which
+``test_snf_differential.py`` checks against the minors of small matrices.
 """
 
 import time
@@ -150,6 +151,30 @@ def test_schur_multiplier_sl2_f3_is_fast():
     assert time.perf_counter() - t0 < 3.0
     assert pres.metadata["group_order"] == 24
     assert pres.is_trivial()
+
+
+def _heisenberg_mod_3():
+    return [GroupMatrix(F3, [[1, 1, 0], [0, 1, 0], [0, 0, 1]]),
+            GroupMatrix(F3, [[1, 0, 0], [0, 1, 1], [0, 0, 1]])]
+
+
+def _z3_z9():
+    f19 = GF(19)
+    u = _element_of_order(f19, 9)
+    w = _element_of_order(f19, 3)
+    return [_diag(f19, [u, u.inverse(), 1]), _diag(f19, [1, w, w.inverse()])]
+
+
+@pytest.mark.parametrize("gens,h2", [(_heisenberg_mod_3(), [3, 3]),
+                                     (_z3_z9(), [3])],
+                         ids=["heisenberg_mod_3", "Z3xZ9"])
+def test_order_27_groups_with_nontrivial_h2_are_fast(gens, h2):
+    # the local Smith form's early stop never fires on these
+    t0 = time.perf_counter()
+    pres = schur_multiplier(gens)
+    assert time.perf_counter() - t0 < 3.0
+    assert pres.metadata["group_order"] == 27
+    assert (pres.invariant_factors, pres.free_rank) == (h2, 0)
 
 
 def test_bar_complex_limit_refuses_order_29_and_up():
