@@ -36,22 +36,30 @@ def negate_root(root):
     return (j, i)
 
 
+def _leading_term(f: Poly):
+    """(exponent vector, coefficient) of the largest term of a nonzero f:
+    read off the dense tuple over k[T], lexicographic otherwise."""
+    if f.ring.univariate:
+        return (f.degree(),), f.leading_coefficient()
+    terms = f.terms
+    e = max(terms)
+    return e, terms[e]
+
+
 def _exact_div(ring, x, d):
     """x / d in ``ring`` when d divides x exactly."""
     if ring.is_field or d.is_constant():
         return x * ring.invert(d)
     # leading-term division in the lexicographic order on exponent vectors
-    dterms = d.terms
-    lead = max(dterms)
-    lead_inv = ring.base.invert(dterms[lead])
+    lead, top = _leading_term(d)
+    lead_inv = ring.base.invert(top)
     quotient = ring.zero
     while x:
-        xterms = x.terms
-        e = max(xterms)
+        e, c = _leading_term(x)
         shift = tuple([a - b for a, b in zip(e, lead)])
         if min(shift) < 0:
             raise ValueError(f"{d} does not divide {x}")
-        t = Poly(ring, {shift: xterms[e] * lead_inv})
+        t = Poly(ring, {shift: c * lead_inv})
         quotient = quotient + t
         x = x - t * d
     return quotient

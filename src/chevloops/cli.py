@@ -10,16 +10,17 @@ one "error" key naming the violated condition.
 from __future__ import annotations
 
 import argparse
+import functools
 import json
 import sys
 import time
-from fractions import Fraction
 
 from . import serialize
 from .acceptance import DEFAULT_SEED, run_all
 from .factorization import factor_elementary, path_to_steinberg
 from .loops import c_loop, verify_path_identity
-from .oracles import milnor_k2_finite_field, schur_multiplier, tame_symbol
+from .oracles import (MAX_BAR_ORDER, milnor_k2_finite_field,
+                      schur_multiplier, tame_symbol)
 from .rings import FiniteField, QQ
 from .simplicial import _check_witness, face, path_to_simplex
 from .steinberg import in_k2
@@ -42,6 +43,8 @@ def _read_json(path: str | None):
             return json.load(fh)
     except json.JSONDecodeError as exc:
         raise InputError(f"invalid JSON: {exc}")
+    except RecursionError:
+        raise InputError("invalid JSON: nested too deeply")
     except OSError as exc:
         raise InputError(f"cannot read input: {exc}")
 
@@ -54,7 +57,7 @@ def _emit(doc: dict) -> int:
 def _parse_scalar(field, text: str):
     try:
         if field is QQ:
-            return Fraction(text)
+            return serialize.parse_rational(text)
         if isinstance(field, FiniteField):
             if "," in text:
                 return field([int(c) for c in text.split(",")])
@@ -104,9 +107,12 @@ def _parse_group(text: str) -> int:
     return n
 
 
+def _schema(doc) -> str | None:
+    return doc.get("schema") if isinstance(doc, dict) else None
+
+
 def _load_level1(doc: dict):
-    schema = doc.get("schema")
-    if schema == serialize.SCHEMA_SIMPLEX_MATRIX:
+    if _schema(doc) == serialize.SCHEMA_SIMPLEX_MATRIX:
         return serialize.simplex_matrix_from_json(doc)
     return path_to_simplex(serialize.path_from_json(doc))
 
@@ -140,6 +146,8 @@ def _cmd_verify_identity(args) -> int:
         lhs_docs, rhs_docs = doc["lhs"], doc["rhs"]
     except (KeyError, TypeError):
         raise InputError("expected a document with 'lhs' and 'rhs' lists")
+    # each factor is det-checked on load and multiplied once
+    serialize.check_document_work(lhs_docs + rhs_docs)
     lhs = [serialize.matrix_from_json(d) for d in lhs_docs]
     rhs = [serialize.matrix_from_json(d) for d in rhs_docs]
     equal, cert = verify_path_identity(lhs, rhs)
@@ -187,7 +195,8 @@ def _cmd_k2_check(args) -> int:
 
 def _cmd_tame(args) -> int:
     try:
-        a, b = Fraction(args.a), Fraction(args.b)
+        a = serialize.parse_rational(args.a)
+        b = serialize.parse_rational(args.b)
     except (ValueError, ZeroDivisionError) as exc:
         raise InputError(f"bad rational: {exc}")
     try:
@@ -215,6 +224,9 @@ def _cmd_schur(args) -> int:
         gen_docs = doc
     else:
         raise InputError("expected a {'gens': [...]} document or a list")
+    # each generator is det-checked on load, then multiplied into up to
+    # MAX_BAR_ORDER + 1 elements while the group is enumerated
+    serialize.check_document_work(gen_docs, rounds=MAX_BAR_ORDER + 2)
     gens = [serialize.matrix_from_json(d) for d in gen_docs]
     t0 = time.perf_counter()
     pres = schur_multiplier(gens, order_bound=args.bound)
@@ -229,7 +241,7 @@ def _cmd_schur(args) -> int:
 
 def _cmd_simplicial_face(args) -> int:
     doc = _read_json(args.infile)
-    schema = doc.get("schema")
+    schema = _schema(doc)
     if schema == serialize.SCHEMA_SIMPLEX_POLY:
         out = face(args.i, serialize.simplex_poly_from_json(doc))
         return _emit(serialize.simplex_poly_to_json(out))
@@ -240,9 +252,13 @@ def _cmd_simplicial_face(args) -> int:
 
 
 def _cmd_verify_homotopy(args) -> int:
-    sigma = serialize.simplex_matrix_from_json(_read_json(args.sigma))
-    loop_from = _load_level1(_read_json(args.src))
-    loop_to = _load_level1(_read_json(args.dst))
+    docs = [_read_json(f) for f in (args.sigma, args.src, args.dst)]
+    # faces of all three re-check their determinants, and the boundary
+    # check inverts and multiplies: about five passes of O(n^3) each
+    serialize.check_document_work(docs, rounds=5)
+    sigma = serialize.simplex_matrix_from_json(docs[0])
+    loop_from = _load_level1(docs[1])
+    loop_to = _load_level1(docs[2])
     certified, faces = _check_witness(sigma, loop_from, loop_to)
     return _emit({
         "certified": certified,
@@ -324,10 +340,16 @@ def build_parser() -> _Parser:
     return parser
 
 
+@functools.cache
+def _parser() -> _Parser:
+    """The parser of ``main``: built on the first call, not at import, and
+    shared by every later call in the process (parsing keeps no state)."""
+    return build_parser()
+
+
 def main(argv=None) -> int:
-    parser = build_parser()
     try:
-        args = parser.parse_args(argv)
+        args = _parser().parse_args(argv)
     except InputError as exc:
         print(json.dumps({"error": str(exc)}, sort_keys=True, indent=2))
         return 1

@@ -231,7 +231,7 @@ def _enumerate_group(gens: list[GroupMatrix], bound: int):
 
 
 MAX_BAR_COLUMNS = 20_000   # (|G| - 1)^3 columns of d3; SL2(F3) needs 12,167
-_MAX_BAR_ORDER = 1 + _iroot(MAX_BAR_COLUMNS, 3)   # 28
+MAX_BAR_ORDER = 1 + _iroot(MAX_BAR_COLUMNS, 3)   # 28
 
 
 def _bar_complex(elems, identity):
@@ -352,13 +352,13 @@ def schur_multiplier(gens: list[GroupMatrix],
     if not gens:
         raise ValueError("at least one generator is required")
     elems, identity = _enumerate_group(
-        gens, min(order_bound, _MAX_BAR_ORDER))
+        gens, min(order_bound, MAX_BAR_ORDER))
     if len(elems) > order_bound:
         raise ValueError(f"order bound {order_bound} exceeded: the group has "
                          f"more than {order_bound} elements")
-    if len(elems) > _MAX_BAR_ORDER:
+    if len(elems) > MAX_BAR_ORDER:
         raise ValueError(
-            f"the group has more than {_MAX_BAR_ORDER} elements, so d3 "
+            f"the group has more than {MAX_BAR_ORDER} elements, so d3 "
             f"would have more than {MAX_BAR_COLUMNS} columns "
             f"(MAX_BAR_COLUMNS = {MAX_BAR_COLUMNS})")
     d2_cols, d3_cols = _bar_complex(elems, identity)

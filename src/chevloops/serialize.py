@@ -17,7 +17,7 @@ from math import comb
 from .chevalley import GroupMatrix
 from .loops import PathMatrix
 from .oracles import AbelianGroupPresentation
-from .rings import GF, FiniteField, Poly, PolyRing, QQ
+from .rings import GF, MAX_PRIME_TEST, FiniteField, Poly, PolyRing, QQ
 from .simplicial import SimplexMatrix, SimplexPoly, simplex_ring
 from .snf import SparseIntMatrix
 from .steinberg import SteinbergWord
@@ -53,6 +53,10 @@ def parse_ring(desc: str):
             p, e = int(p_str), int(e_str)
         except ValueError:
             raise ValueError(f"bad finite-field descriptor {desc!r}")
+        if e * (abs(p).bit_length() - 1) >= MAX_PRIME_TEST.bit_length():
+            # p^e >= 2^82 > MAX_PRIME_TEST: refuse before computing it
+            raise ValueError(f"{desc!r} names a field larger than "
+                             f"MAX_PRIME_TEST = {MAX_PRIME_TEST}")
         field = GF(p ** e)
         if field.p != p:
             raise ValueError(f"{p} is not prime in descriptor {desc!r}")
@@ -62,10 +66,10 @@ def parse_ring(desc: str):
         if ":" not in rest:
             raise ValueError(f"bad polynomial-ring descriptor {desc!r}")
         base_desc, vars_part = rest.rsplit(":", 1)
-        base = parse_ring(base_desc)
-        if isinstance(base, PolyRing):
+        if base_desc.startswith("poly:"):
             raise ValueError("nested polynomial rings are not supported; "
                              "declare all variables in one descriptor")
+        base = parse_ring(base_desc)
         names = tuple(v for v in vars_part.split(",") if v)
         if not names:
             raise ValueError(f"no variables in descriptor {desc!r}")
@@ -76,6 +80,28 @@ def parse_ring(desc: str):
 # ---------------------------------------------------------------------------
 # scalars
 # ---------------------------------------------------------------------------
+
+# Largest decimal exponent a rational string such as "3e-7" may carry:
+# "1e<k>" has k + 1 digits, and Python refuses integer strings of more
+# than 4300 digits.
+MAX_RATIONAL_EXPONENT = 4300
+
+
+def parse_rational(text: str) -> Fraction:
+    """``Fraction(text)``, refused before 10^k is built when the decimal
+    exponent k exceeds ``MAX_RATIONAL_EXPONENT`` in size."""
+    _, mark, exp = text.upper().rpartition("E")
+    if mark:
+        try:
+            k = int(exp)
+        except ValueError:
+            k = 0          # not an exponent: Fraction rejects or reads it
+        if abs(k) > MAX_RATIONAL_EXPONENT:
+            raise ValueError(f"exponent {k} in {text!r} exceeds "
+                             f"{MAX_RATIONAL_EXPONENT} "
+                             f"(MAX_RATIONAL_EXPONENT)")
+    return Fraction(text)
+
 
 def scalar_to_json(ring, x):
     if ring is QQ:
@@ -93,12 +119,13 @@ def scalar_to_json(ring, x):
 def scalar_from_json(ring, doc):
     if ring is QQ:
         if isinstance(doc, (str, int)):
-            return Fraction(str(doc))
+            return parse_rational(str(doc))
         raise ValueError(f"bad rational encoding {doc!r}")
     if isinstance(ring, FiniteField):
         if isinstance(doc, int):
             return ring(doc)
-        if isinstance(doc, list):
+        if isinstance(doc, list) and all(
+                isinstance(c, int) and not isinstance(c, bool) for c in doc):
             return ring(doc)
         raise ValueError(f"bad finite-field encoding {doc!r}")
     if isinstance(ring, PolyRing):
@@ -137,9 +164,41 @@ def matrix_to_json(m: GroupMatrix, schema: str = SCHEMA_MATRIX) -> dict:
     }
 
 
+# Largest n a matrix, path, simplex-matrix or word document may declare.
+# Loading re-checks the determinant in O(n^3) steps: a dense 28x28 matrix
+# over Q or F_7, or over k[X1..X4] with constant entries, answers in well
+# under a second.
+MAX_DOCUMENT_SIZE = 28
+# Most work one command may load and multiply, counted as the sum of n^3
+# over its matrix documents (see ``check_document_work``).
+MAX_DOCUMENT_WORK = 2 * MAX_DOCUMENT_SIZE ** 3
+
+
+def _declared_size(doc: dict) -> int:
+    """The n a matrix, path, simplex-matrix or word document declares,
+    refused past ``MAX_DOCUMENT_SIZE`` before any entry is built."""
+    n = doc["n"]
+    if isinstance(n, bool) or not isinstance(n, int):
+        raise ValueError(f"matrix size must be an integer, got {n!r}")
+    if not 0 <= n <= MAX_DOCUMENT_SIZE:
+        raise ValueError(f"matrix size {n} is outside 0..{MAX_DOCUMENT_SIZE}"
+                         f" (MAX_DOCUMENT_SIZE)")
+    return n
+
+
+def check_document_work(docs, rounds: int = 1):
+    """Refuse a list of matrix documents, before any is built, when
+    ``rounds`` times the sum of n^3 exceeds ``MAX_DOCUMENT_WORK``."""
+    work = rounds * sum(_declared_size(d) ** 3 for d in docs)
+    if work > MAX_DOCUMENT_WORK:
+        raise ValueError(f"documents need {work} units of work, over "
+                         f"{MAX_DOCUMENT_WORK} (MAX_DOCUMENT_WORK, counted "
+                         f"as {rounds} x the sum of n^3)")
+
+
 def _entry_grid(doc: dict) -> tuple[int, list]:
     """The declared size and the row-major entries of a matrix document."""
-    n = doc["n"]
+    n = _declared_size(doc)
     entries = doc["entries"]
     if not (isinstance(entries, list) and len(entries) == n
             and all(isinstance(r, list) and len(r) == n for r in entries)):
@@ -180,6 +239,7 @@ def word_to_json(w: SteinbergWord) -> dict:
 
 
 def word_from_json(doc: dict) -> SteinbergWord:
+    n = _declared_size(doc)
     ring = parse_ring(doc["ring"])
     letters = []
     for item in doc["letters"]:
@@ -188,7 +248,7 @@ def word_from_json(doc: dict) -> SteinbergWord:
         i, j, param = item[0], item[1], item[2]
         sign = item[3] if len(item) == 4 else 1
         letters.append(((i, j), scalar_from_json(ring, param), sign))
-    return SteinbergWord(ring, doc["n"], letters)
+    return SteinbergWord(ring, n, letters)
 
 
 # ---------------------------------------------------------------------------

@@ -1,15 +1,24 @@
 """CLI: JSON in, JSON out, deterministic bytes, exit-code contract."""
 
 import json
+import os
+import pathlib
 import random
+import subprocess
+import sys
 import time
 from fractions import Fraction
 
 import pytest
 
+import chevloops
 import chevloops.cli as cli
 from chevloops import PolyRing, QQ, product_of_elementaries, serialize
 from chevloops.cli import main
+
+GOLDEN = json.loads(
+    (pathlib.Path(__file__).parent / "data" / "cli_golden.json").read_text(
+        encoding="utf-8"))
 
 
 def _run(capsys, argv):
@@ -257,13 +266,20 @@ def test_verify_homotopy(tmp_path, capsys):
     assert doc["faces"]["d1"]["entries"][0][1] == []
 
 
-def _timed_face(tmp_path, capsys, doc, i=0):
-    f = tmp_path / "sp.json"
-    f.write_text(json.dumps(doc))
+def _timed(tmp_path, capsys, argv, doc=None, text=None):
+    """Run ``argv`` plus ``--in`` of a document written as JSON or raw text;
+    returns the exit code, the output document and the seconds taken."""
+    if doc is not None or text is not None:
+        f = tmp_path / "doc.json"
+        f.write_text(text if text is not None else json.dumps(doc))
+        argv = argv + ["--in", str(f)]
     t0 = time.perf_counter()
-    code, out = _run(capsys, ["simplicial-face", "--i", str(i), "--in",
-                              str(f)])
+    code, out = _run(capsys, argv)
     return code, out, time.perf_counter() - t0
+
+
+def _timed_face(tmp_path, capsys, doc, i=0):
+    return _timed(tmp_path, capsys, ["simplicial-face", "--i", str(i)], doc)
 
 
 @pytest.mark.parametrize("level, poly, limit", [
@@ -384,3 +400,219 @@ def test_reproduce_wiring(monkeypatch, capsys):
     code, doc = _run(capsys, ["reproduce", "--seed", "7"])
     assert code == 0
     assert doc["seed"] == 7 and doc["all_passed"] is True
+
+
+# ---------------------------------------------------------------------------
+# one parser per process
+# ---------------------------------------------------------------------------
+
+def test_main_builds_one_parser_per_process(monkeypatch, capsys):
+    made = []
+    init = cli._Parser.__init__
+
+    def counting(self, *args, **kwargs):
+        made.append(kwargs.get("prog"))
+        init(self, *args, **kwargs)
+
+    monkeypatch.setattr(cli._Parser, "__init__", counting)
+    cli.build_parser()
+    tree = len(made)        # the top-level parser and one per subcommand
+    made.clear()
+    cli._parser.cache_clear()
+    for _ in range(25):
+        assert main(["tame", "--a", "2", "--b", "3", "--p", "3"]) == 0
+        assert main(["tame", "--a", "2"]) == 1
+        assert main(["k2m-field", "--q", "32"]) == 2
+    capsys.readouterr()
+    assert made.count("chevloops") == 1 and len(made) == tree
+
+
+def test_importing_the_cli_builds_no_parser():
+    code = ("import argparse\n"
+            "made = []\n"
+            "init = argparse.ArgumentParser.__init__\n"
+            "def counting(self, *args, **kwargs):\n"
+            "    made.append(1)\n"
+            "    init(self, *args, **kwargs)\n"
+            "argparse.ArgumentParser.__init__ = counting\n"
+            "import chevloops.cli\n"
+            "print(len(made))\n")
+    src = str(pathlib.Path(chevloops.__file__).parents[1])
+    out = subprocess.run([sys.executable, "-c", code], check=True,
+                         capture_output=True, text=True,
+                         env={**os.environ, "PYTHONPATH": src})
+    assert out.stdout.strip() == "0"
+
+
+@pytest.mark.parametrize("command", ["factor", "simplicial-face",
+                                     "verify-homotopy"])
+def test_errors_leave_the_shared_parser_clean(tmp_path, capsys, command):
+    assert main(["symbol-loop", "--group", "sl2", "--bogus", "1"]) == 1
+    assert main(["no-such-command", "--in", "x.json"]) == 1
+    assert main(["k2m-field", "--q", "32"]) == 2
+    capsys.readouterr()
+    case = next(c for c in GOLDEN if c["command"] == command)
+    argv = [command, *case.get("flags", [])]
+    inputs = case.get("inputs") or {"--in": case["input"]}
+    for k, (flag, doc) in enumerate(inputs.items()):
+        src = tmp_path / f"in{k}.json"
+        src.write_text(json.dumps(doc), encoding="utf-8")
+        argv += [flag, str(src)]
+    assert main(argv) == case["exit"]
+    assert capsys.readouterr().out == case["stdout"]
+
+
+# ---------------------------------------------------------------------------
+# named limits on documents and flags
+# ---------------------------------------------------------------------------
+
+_HUGE_DOCS = {
+    "factor": {"schema": serialize.SCHEMA_MATRIX, "ring": "Q"},
+    "verify-loop": {"schema": serialize.SCHEMA_PATH, "ring": "poly:Q:T"},
+    "simplicial-face": {"schema": serialize.SCHEMA_SIMPLEX_MATRIX,
+                        "level": 1, "field": "Q"},
+    "k2-check": {"schema": serialize.SCHEMA_WORD, "ring": "Q",
+                 "letters": []},
+}
+
+
+@pytest.mark.parametrize("n", [serialize.MAX_DOCUMENT_SIZE + 1, 10 ** 9])
+@pytest.mark.parametrize("command", sorted(_HUGE_DOCS))
+def test_documents_over_the_size_limit_are_exit_2(tmp_path, capsys, command,
+                                                  n):
+    # the entries are never read: the size is refused first
+    doc = dict(_HUGE_DOCS[command], n=n, entries="unread")
+    argv = [command] + (["--i", "0"] if command == "simplicial-face" else [])
+    code, out, seconds = _timed(tmp_path, capsys, argv, doc)
+    assert code == 2
+    assert "MAX_DOCUMENT_SIZE" in out["error"]
+    assert seconds < 1.0
+
+
+def test_document_size_must_be_an_integer(tmp_path, capsys):
+    for n in (True, 2.0, "2", -1):
+        doc = {"schema": serialize.SCHEMA_MATRIX, "n": n, "ring": "Q",
+               "entries": [["1", "0"], ["0", "1"]]}
+        code, out, _ = _timed(tmp_path, capsys, ["factor"], doc)
+        assert code == 2
+        assert "matrix size" in out["error"]
+
+
+def _dense_q(n, rng):
+    """x_U x_L over Q with one-digit letters: every pivot of the
+    determinant check is a non-unit, so the elimination divides."""
+    def letters(lower):
+        return [((i, j), Fraction(rng.randint(-9, 9), rng.randint(1, 9)))
+                for i in range(1, n + 1) for j in range(1, n + 1)
+                if (i > j if lower else i < j)]
+    return (product_of_elementaries(QQ, n, letters(False))
+            * product_of_elementaries(QQ, n, letters(True)))
+
+
+def test_the_densest_admitted_identity_answers_in_under_a_second(tmp_path,
+                                                                capsys):
+    # two factors of the largest size spend the whole work budget
+    n = serialize.MAX_DOCUMENT_SIZE
+    assert 2 * n ** 3 == serialize.MAX_DOCUMENT_WORK
+    a = serialize.matrix_to_json(_dense_q(n, random.Random("densest")))
+    code, out, seconds = _timed(tmp_path, capsys, ["verify-identity"],
+                                {"lhs": [a], "rhs": [a]})
+    assert (code, out["equal"]) == (0, True)
+    assert seconds < 1.0
+
+
+def test_verify_identity_work_is_capped(tmp_path, capsys):
+    n = serialize.MAX_DOCUMENT_SIZE
+    big = {"schema": serialize.SCHEMA_MATRIX, "n": n, "ring": "Q",
+           "entries": "unread"}
+    code, out, seconds = _timed(tmp_path, capsys, ["verify-identity"],
+                                {"lhs": [big, big], "rhs": [big]})
+    assert code == 2
+    assert "MAX_DOCUMENT_WORK" in out["error"]
+    assert seconds < 1.0
+
+
+def test_schur_generator_work_is_capped(tmp_path, capsys):
+    # the enumeration multiplies each generator up to 29 times
+    gen = {"schema": serialize.SCHEMA_MATRIX, "n": 13, "ring": "Q",
+           "entries": "unread"}
+    f = tmp_path / "gens.json"
+    f.write_text(json.dumps({"gens": [gen]}))
+    code, out = _run(capsys, ["schur", "--gens", str(f)])
+    assert code == 2
+    assert "MAX_DOCUMENT_WORK" in out["error"]
+
+
+def test_verify_homotopy_work_is_capped(tmp_path, capsys):
+    # every document is walked about five times by the witness check
+    paths = []
+    for k in range(3):
+        doc = {"schema": serialize.SCHEMA_SIMPLEX_MATRIX, "level": 2 - k // 2,
+               "n": 15, "field": "Q", "entries": "unread"}
+        paths.append(tmp_path / f"doc{k}.json")
+        paths[-1].write_text(json.dumps(doc))
+    code, out = _run(capsys, ["verify-homotopy", "--sigma", str(paths[0]),
+                              "--from", str(paths[1]), "--to", str(paths[2])])
+    assert code == 2
+    assert "MAX_DOCUMENT_WORK" in out["error"]
+
+
+def test_rational_exponents_are_capped(tmp_path, capsys):
+    flags = ["symbol-loop", "--group", "sl2", "--root", "1,2", "--v", "3",
+             "--ring", "Q"]
+    for argv in (flags + ["--u", "1e99999"],
+                 ["tame", "--a", "1e-9999999", "--b", "3", "--p", "5"]):
+        code, out, seconds = _timed(tmp_path, capsys, argv)
+        assert code == 1
+        assert "MAX_RATIONAL_EXPONENT" in out["error"]
+        assert seconds < 1.0
+    doc = {"schema": serialize.SCHEMA_MATRIX, "n": 1, "ring": "Q",
+           "entries": [["1e999999"]]}
+    code, out, seconds = _timed(tmp_path, capsys, ["factor"], doc)
+    assert code == 2
+    assert "MAX_RATIONAL_EXPONENT" in out["error"]
+    assert seconds < 1.0
+    # exponents within the limit still read as exact rationals
+    for a in ("2e3", "2000"):
+        code, out, _ = _timed(tmp_path, capsys,
+                              ["tame", "--a", a, "--b", "3", "--p", "5"])
+        assert (code, out) == (0, {"value": "3"})
+
+
+def test_huge_field_descriptors_are_refused_before_p_to_the_e(tmp_path,
+                                                              capsys):
+    flags = ["symbol-loop", "--group", "sl2", "--root", "1,2", "--u", "2",
+             "--v", "3", "--ring"]
+    for ring in ("Fq:2^1000000000", "Fq:" + "7" * 4000 + "^1"):
+        code, out, seconds = _timed(tmp_path, capsys, flags + [ring])
+        assert code == 1
+        assert "MAX_PRIME_TEST" in out["error"]
+        assert seconds < 1.0
+    doc = {"schema": serialize.SCHEMA_MATRIX, "n": 1,
+           "ring": "Fq:3^100000000", "entries": [[[1]]]}
+    code, out, seconds = _timed(tmp_path, capsys, ["factor"], doc)
+    assert code == 2
+    assert "MAX_PRIME_TEST" in out["error"]
+    assert seconds < 1.0
+
+
+def test_deep_nesting_is_refused_quickly(tmp_path, capsys):
+    code, out, _ = _timed(tmp_path, capsys, ["verify-loop"],
+                          text="[" * 100000 + "]" * 100000)
+    assert (code, out) == (1, {"error": "invalid JSON: nested too deeply"})
+    doc = {"schema": serialize.SCHEMA_PATH, "n": 1, "entries": [[[]]],
+           "ring": "poly:" * 20000 + "Q:T"}
+    code, out, seconds = _timed(tmp_path, capsys, ["verify-loop"], doc)
+    assert code == 2
+    assert "nested polynomial rings" in out["error"]
+    assert seconds < 1.0
+
+
+@pytest.mark.parametrize("coeff", [float("inf"), float("nan"), 3.0, True])
+def test_finite_field_coefficients_must_be_integers(tmp_path, capsys, coeff):
+    # found by the fuzz harness: int(inf) raised OverflowError out of main
+    doc = {"schema": serialize.SCHEMA_MATRIX, "n": 1, "ring": "Fq:7^1",
+           "entries": [[[coeff]]]}
+    code, out, _ = _timed(tmp_path, capsys, ["factor"], doc)
+    assert code == 2
+    assert "bad finite-field encoding" in out["error"]

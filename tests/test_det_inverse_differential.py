@@ -7,7 +7,9 @@ Matrices are random products of elementary letters, optionally with a
 Weyl element w_(i,j)(u) in between so that elimination needs row swaps;
 variants with one row scaled by 2 (det 2) and with a repeated row
 (det 0) are built with ``_checked=True``.  The rings are Q, F_7, F_9,
-k[T] over Q and F_9, k[X1, X2] over Q and F_7, and the level-0 ring k[].
+k[T] over Q, F_7 and F_9, k[X1, X2] over Q and F_7, and the level-0 ring
+k[].  The exact division inside the elimination is checked on its own
+over k[T]: it recovers q from q*d and refuses a non-multiple.
 """
 
 from fractions import Fraction
@@ -17,6 +19,8 @@ import pytest
 
 from chevloops import (GF, GroupMatrix, Poly, PolyRing, QQ,
                        product_of_elementaries, simplex_ring, w_elem)
+from chevloops.chevalley import _exact_div
+from chevloops.rings import poly_divmod
 
 hypothesis = pytest.importorskip("hypothesis")
 st = hypothesis.strategies
@@ -27,6 +31,7 @@ RINGS = {
     "F7": GF(7),
     "F9": GF(9),
     "Q[T]": PolyRing(QQ, ("T",)),
+    "F7[T]": PolyRing(GF(7), ("T",)),
     "F9[T]": PolyRing(GF(9), ("T",)),
     "Q[X1,X2]": simplex_ring(QQ, 2),
     "F7[X1,X2]": simplex_ring(GF(7), 2),
@@ -133,6 +138,24 @@ def test_det_two_and_singular_match_leibniz(name):
         else:
             with pytest.raises(ValueError, match="determinant"):
                 bad.inverse()
+    check()
+
+
+@pytest.mark.parametrize("name", ["Q[T]", "F7[T]", "F9[T]"])
+def test_exact_div_over_k_t(name):
+    ring = RINGS[name]
+    dense = st.lists(_scalars(ring.base), max_size=6).map(
+        lambda cs: Poly(ring, {(k,): c for k, c in enumerate(cs)}))
+
+    @CHECK
+    @given(dense, dense, dense)
+    def check(q, d, r):
+        hypothesis.assume(d)
+        assert _exact_div(ring, q * d, d) == q
+        rem = poly_divmod(r, d)[1]
+        if rem:
+            with pytest.raises(ValueError, match="does not divide"):
+                _exact_div(ring, q * d + rem, d)
     check()
 
 
