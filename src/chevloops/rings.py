@@ -8,7 +8,9 @@ Polynomials in one variable (k[T], and k[D^1] in X1) are dense
 little-endian coefficient tuples: ints mod p over F_p, integer numerators
 over one shared denominator over Q, and field elements over F_{p^e}.
 Polynomials in zero or several variables map exponent vectors to nonzero
-coefficients.
+coefficients.  Every map between polynomial rings is ``Poly.substitute``,
+one loop over the monomials of either form; ``Poly.evaluate`` reads
+coefficients directly only at T = 0 and T = 1.
 """
 
 from __future__ import annotations
@@ -133,24 +135,6 @@ def _prime_power(q: int) -> tuple[int, int]:
             if not is_prime(p):
                 raise ValueError(f"{q} is not a prime power")
             return p, e
-
-
-def _poly_divmod_modp(a: list[int], b: list[int], p: int):
-    """Long division of little-endian int polynomials over F_p; b nonzero."""
-    a = list(a)
-    db, lb = len(b) - 1, b[-1]
-    inv = pow(lb, -1, p)
-    q = [0] * max(len(a) - db, 1)
-    for i in range(len(a) - 1, db - 1, -1):
-        c = a[i] % p
-        if c:
-            f = (c * inv) % p
-            q[i - db] = f
-            for k, bk in enumerate(b):
-                a[i - db + k] = (a[i - db + k] - f * bk) % p
-    while len(a) > 1 and a[-1] % p == 0:
-        a.pop()
-    return q, [c % p for c in a]
 
 
 class FqElement:
@@ -556,12 +540,13 @@ class Poly:
         return {(k,): self._scalar(x) for k, x in enumerate(self._c) if x}
 
     def _scalar(self, x):
-        """A stored dense coefficient as a base-field element."""
+        """A stored dense coefficient, or a sum of them, as a base-field
+        element."""
         kind = self.ring._kind
         if kind == "Q":
             return Fraction(x, self._d)
         if kind == "p":
-            return FqElement(self.ring.base, (x,))
+            return FqElement(self.ring.base, (x % self.ring._p,))
         return x
 
     def _coerce(self, other):
@@ -759,14 +744,19 @@ class Poly:
 
         A full assignment returns a scalar; a partial one returns a Poly
         in the remaining variables.  Substitution is a ring homomorphism.
+        In one variable the endpoints are read off the coefficients: the
+        constant term at 0 and their sum at 1.
         """
         ring = self.ring
         base = ring.base
         vs = ring.variables
-        if ring._kind is not None:
-            if vs[0] not in assignment:
-                return self
-            return self._evaluate_dense(base(assignment[vs[0]]))
+        if ring._kind is not None and vs[0] in assignment:
+            t = base(assignment[vs[0]])
+            c = self._c
+            if not t:
+                return self._scalar(c[0] if c else ring._zero_c)
+            if t == base.one:
+                return self._scalar(sum(c, ring._zero_c))
         keep = tuple(v for v in vs if v not in assignment)
         target = PolyRing(base, keep)
         image = self.substitute(
@@ -774,56 +764,19 @@ class Poly:
              for v in vs}, target)
         return image if keep else image.constant_value()
 
-    def _evaluate_dense(self, t):
-        """Horner's rule on the coefficient tuple; t is a base scalar."""
-        c = self._c
-        kind = self.ring._kind
-        base = self.ring.base
-        if not c:
-            return base.zero
-        if kind == "Q":
-            a, b = t.numerator, t.denominator
-            if a == 0:
-                return Fraction(c[0], self._d)
-            if a == b:
-                return Fraction(sum(c), self._d)
-            # sum of c_k a^k b^(n-k), over d b^n
-            v, bk = c[-1], 1
-            for x in reversed(c[:-1]):
-                bk *= b
-                v = v * a + x * bk
-            return Fraction(v, self._d * bk)
-        if kind == "p":
-            p, x0 = base.p, t.coeffs[0]
-            if x0 == 0:
-                v = c[0]
-            elif x0 == 1:
-                v = sum(c) % p
-            else:
-                v = 0
-                for x in reversed(c):
-                    v = (v * x0 + x) % p
-            return FqElement(base, (v,))
-        if not t:
-            return c[0]
-        if t == base.one:
-            return sum(c, base.zero)
-        v = base.zero
-        for x in reversed(c):
-            v = v * t + x
-        return v
-
     def substitute(self, mapping: dict, target: PolyRing,
                    memo: dict | None = None) -> "Poly":
         """Map every variable to a value in ``target`` (scalars or Polys).
 
-        On a term-dict source the image of each monomial is built once:
-        values that are single monomials with coefficient one (such as
-        X_j -> X_{j+1}) shift exponent vectors, and only the other values
-        get power ladders.  ``memo`` maps source exponent vectors to
-        their images under this one mapping and target; it persists
-        across calls and is emptied whenever it would grow past
-        ``SUBSTITUTE_MEMO_LIMIT`` entries.
+        This is the one loop for every ring map, whichever form the source
+        is stored in: the image of each monomial of ``terms`` is built
+        once, then scaled by its coefficient and summed.  Values that are
+        single monomials with coefficient one (such as X_j -> X_{j+1})
+        shift exponent vectors, and only the other values get power
+        ladders.  ``memo`` maps source exponent vectors to their images
+        under this one mapping and target; it persists across calls and
+        is emptied whenever it would grow past ``SUBSTITUTE_MEMO_LIMIT``
+        entries.
         """
         if target.base is not self.ring.base:
             raise ValueError("substitution must preserve the coefficient field")
@@ -832,23 +785,12 @@ class Poly:
             if v not in mapping:
                 raise ValueError(f"no value for variable {v}")
             vals.append(target(mapping[v]))
-        if self.ring._kind is not None:
-            # Horner's rule in the target ring
-            c = self._c
-            if not c:
-                return target.zero
-            x = vals[0]
-            acc = target(self._scalar(c[-1]))
-            for k in range(len(c) - 2, -1, -1):
-                acc = acc * x
-                if c[k]:
-                    acc = acc + target(self._scalar(c[k]))
-            return acc
         if memo is None:
             memo = {}
+        terms = self.terms
         image = None        # built on the first memo miss
         images = []
-        for e in self._c:
+        for e in terms:
             img = memo.get(e)
             if img is None:
                 if image is None:
@@ -860,13 +802,13 @@ class Poly:
             images.append(img)
         if target._kind is not None:
             acc = target.zero
-            for img, c in zip(images, self._c.values()):
+            for img, c in zip(images, terms.values()):
                 acc = acc + img * c
             return acc
         out: dict = {}
         get = out.get
         one = target.base.one
-        for img, c in zip(images, self._c.values()):
+        for img, c in zip(images, terms.values()):
             for te, tc in img._c.items():
                 tc = c if tc is one else c * tc
                 s = get(te)
@@ -976,11 +918,18 @@ def poly_divmod(f: Poly, g: Poly) -> tuple[Poly, Poly]:
     if len(a) <= dg:
         return ring.zero, f
     kind = ring._kind
-    if kind == "p":
-        q, r = _poly_divmod_modp(a, b, ring._p)
-        return _poly(ring, tuple(q)), _poly(ring, _trim(r))
     rem = list(a)
     quo = [0] * (len(a) - dg)
+    if kind == "p":
+        p = ring._p
+        inv = pow(b[-1], -1, p)
+        for i in range(len(a) - 1, dg - 1, -1):
+            c = rem[i] * inv % p
+            quo[i - dg] = c
+            if c:
+                for k in range(dg):
+                    rem[i - dg + k] = (rem[i - dg + k] - c * b[k]) % p
+        return _poly(ring, _trim(quo)), _poly(ring, _trim(rem[:dg]))
     if kind == "q":
         inv = b[-1].inverse()
         for i in range(len(a) - 1, dg - 1, -1):

@@ -129,8 +129,16 @@ def scalar_from_json(ring, doc):
             return ring(doc)
         raise ValueError(f"bad finite-field encoding {doc!r}")
     if isinstance(ring, PolyRing):
-        return Poly(ring, _terms_from_json(ring, doc))
+        return _bounded_polys(ring, [doc])[0]
     raise ValueError(f"cannot deserialize over {ring!r}")
+
+
+def _scalars_from_json(ring, docs: list) -> list:
+    """The encoded scalars of one document; polynomials are counted
+    together against ``MAX_SIMPLEX_TERMS``."""
+    if isinstance(ring, PolyRing):
+        return _bounded_polys(ring, docs)
+    return [scalar_from_json(ring, x) for x in docs]
 
 
 def _terms_from_json(ring: PolyRing, doc) -> dict:
@@ -209,10 +217,7 @@ def _entry_grid(doc: dict) -> tuple[int, list]:
 def matrix_from_json(doc: dict) -> GroupMatrix:
     ring = parse_ring(doc["ring"])
     n, flat = _entry_grid(doc)
-    if isinstance(ring, PolyRing):
-        flat = _bounded_polys(ring, flat)
-    else:
-        flat = [scalar_from_json(ring, x) for x in flat]
+    flat = _scalars_from_json(ring, flat)
     return GroupMatrix(ring, [flat[k * n:(k + 1) * n] for k in range(n)])
 
 
@@ -241,13 +246,14 @@ def word_to_json(w: SteinbergWord) -> dict:
 def word_from_json(doc: dict) -> SteinbergWord:
     n = _declared_size(doc)
     ring = parse_ring(doc["ring"])
-    letters = []
-    for item in doc["letters"]:
+    items = doc["letters"]
+    for item in items:
         if not (isinstance(item, list) and len(item) in (3, 4)):
             raise ValueError(f"bad word letter {item!r}")
-        i, j, param = item[0], item[1], item[2]
-        sign = item[3] if len(item) == 4 else 1
-        letters.append(((i, j), scalar_from_json(ring, param), sign))
+    params = _scalars_from_json(ring, [item[2] for item in items])
+    letters = [((item[0], item[1]), param,
+                item[3] if len(item) == 4 else 1)
+               for item, param in zip(items, params)]
     return SteinbergWord(ring, n, letters)
 
 
@@ -258,8 +264,8 @@ def word_from_json(doc: dict) -> SteinbergWord:
 # Largest level a simplex document may declare: the face maps of level n
 # are built in O(n^2).
 MAX_SIMPLEX_LEVEL = 64
-# Most terms the polynomials of one simplex, matrix or path document may
-# have, counted as C(deg + v, v) for each polynomial of total degree deg
+# Most terms the polynomials of one simplex, matrix, path or word document
+# may have, counted as C(deg + v, v) for each polynomial of total degree deg
 # in v variables (deg + 1 over k[T]).  That bounds the stored form (dense
 # in one variable) and, for a simplex, every face image, which lives one
 # level lower.

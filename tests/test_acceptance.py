@@ -1,10 +1,30 @@
 """Acceptance suite: every criterion at its stated tolerance (exact), with
 one printed pass/fail line per criterion."""
 
+import json
+import pathlib
+
 import pytest
 
 from chevloops import acceptance
 from chevloops.acceptance import CRITERIA, DEFAULT_SEED
+
+# every criterion's details at DEFAULT_SEED with the timing fields
+# removed: a refactor must leave them unchanged
+PINNED = json.loads(
+    (pathlib.Path(__file__).parent / "data" / "acceptance_1729.json")
+    .read_text(encoding="utf-8"))
+
+
+def _untimed(details):
+    """``details`` as JSON reads it back, without its ``seconds`` keys."""
+    def strip(x):
+        if isinstance(x, dict):
+            return {k: strip(v) for k, v in x.items() if k != "seconds"}
+        if isinstance(x, (list, tuple)):
+            return [strip(v) for v in x]
+        return x
+    return json.loads(json.dumps(strip(details)))
 
 
 def _report(rec):
@@ -25,6 +45,7 @@ def test_acceptance_criterion(index, capsys):
     with capsys.disabled():
         _report(rec)
     assert rec["passed"], rec["details"]
+    assert _untimed(rec["details"]) == PINNED[f"criterion_{index}"]
 
 
 def test_criterion_8_enforces_its_total_budget(monkeypatch):

@@ -143,6 +143,22 @@ def test_path_documents_over_the_term_limit_are_exit_2(tmp_path, capsys,
     assert "MAX_SIMPLEX_TERMS" in out["error"]
 
 
+@pytest.mark.parametrize("degrees", [[10 ** 7], [10 ** 12], [2500, 2500]])
+def test_word_documents_over_the_term_limit_are_exit_2(tmp_path, capsys,
+                                                       degrees):
+    # each parameter T^deg would be stored as a dense coefficient tuple;
+    # the letters of one document count together
+    word = {"schema": serialize.SCHEMA_WORD, "n": 3, "ring": "poly:Q:T",
+            "letters": [[1, 2, [[[deg], "1"]], 1] for deg in degrees]}
+    f = tmp_path / "word.json"
+    f.write_text(json.dumps(word))
+    t0 = time.perf_counter()
+    code, out = _run(capsys, ["k2-check", "--in", str(f)])
+    assert time.perf_counter() - t0 < 1.0
+    assert code == 2
+    assert "MAX_SIMPLEX_TERMS" in out["error"]
+
+
 def test_tame_value(capsys):
     code, doc = _run(capsys, ["tame", "--a", "2", "--b", "3", "--p", "3"])
     assert code == 0

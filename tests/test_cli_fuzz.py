@@ -1,7 +1,8 @@
 """Fuzz harness: ``cli.main`` on mutated documents and adversarial flags.
 
 Every call runs in this process, through the one parser ``main`` keeps,
-on either a ``data/cli_golden.json`` case with one to three nodes of its
+on either a ``data/cli_golden.json`` case or a ``k2-check`` case on a
+word document (``WORD_CASES``) with one to three nodes of its
 input documents replaced (huge, negative, boolean and float numbers,
 deep nesting, unknown schemas, bad ring descriptors and rationals, or
 a list of up to 30 copies of the node itself), or a
@@ -20,7 +21,9 @@ import time
 
 import pytest
 
+from chevloops import QQ, symbol_word
 from chevloops.cli import main
+from chevloops.serialize import SCHEMA_WORD, word_to_json
 
 hypothesis = pytest.importorskip("hypothesis")
 st = hypothesis.strategies
@@ -29,6 +32,13 @@ given, settings = hypothesis.given, hypothesis.settings
 CASES = json.loads(
     (pathlib.Path(__file__).parent / "data" / "cli_golden.json").read_text(
         encoding="utf-8"))
+WORD_CASES = [{"command": "k2-check", "input": doc} for doc in (
+    word_to_json(symbol_word((1, 2), 2, 3, 3, QQ)),
+    {"schema": SCHEMA_WORD, "n": 3, "ring": "Fq:7^1",
+     "letters": [[1, 2, [3], 1]]},
+    {"schema": SCHEMA_WORD, "n": 3, "ring": "poly:Q:T",
+     "letters": [[2, 1, [[[2], "1"], [[0], "-1/2"]], -1]]},
+)]
 FUZZ = settings(max_examples=120, deadline=None, derandomize=True,
                 database=None)
 SECONDS = 1.0
@@ -96,7 +106,7 @@ def _inputs(case) -> dict:
 
 @st.composite
 def _mutated_case(draw):
-    case = draw(st.sampled_from(CASES))
+    case = draw(st.sampled_from(CASES + WORD_CASES))
     inputs = _inputs(case)
     for _ in range(draw(st.integers(1, 3))):
         flag = draw(st.sampled_from(sorted(inputs)))

@@ -94,6 +94,24 @@ def test_scalar_queries_match_the_dict_form(name):
 
 
 @pytest.mark.parametrize("name", sorted(FIELDS))
+def test_evaluate_is_the_definitional_sum(name):
+    # T = 0 and T = 1 read coefficients directly; every other value goes
+    # through substitute.  Both endpoints are checked on every example.
+    field, scalars, ring, _ = _rings(name)
+
+    @CHECK
+    @given(st.lists(scalars, max_size=9), scalars)
+    def check(cf, t):
+        f = Poly(ring, {(k,): c for k, c in enumerate(cf)})
+        for x in (field.zero, field.one, t):
+            want = field.zero
+            for k, c in enumerate(cf):
+                want = want + c * x ** k
+            assert f.evaluate({"T": x}) == want
+    check()
+
+
+@pytest.mark.parametrize("name", sorted(FIELDS))
 def test_poly_divmod_is_euclidean_division(name):
     field, scalars, ring, big = _rings(name)
 

@@ -10,6 +10,7 @@ from chevloops import (GF, GroupMatrix, PathMatrix, QQ, SimplexMatrix,
                        moore_is_loop, path_ring, path_to_simplex,
                        simplex_ring, simplex_to_path, verify_homotopy_witness,
                        x_loop, identity_path)
+from chevloops.simplicial import _structure_map
 
 
 def test_level1_faces_match_endpoint_evaluations():
@@ -17,6 +18,18 @@ def test_level1_faces_match_endpoint_evaluations():
     sp = SimplexPoly(QQ, 1, simplex_ring(QQ, 1).gen("X1"))
     assert face(1, sp).poly == simplex_ring(QQ, 0).zero
     assert face(0, sp).poly == simplex_ring(QQ, 0).one
+
+
+def test_level1_structure_maps_fill_their_memos():
+    # a level-1 source is stored densely and still goes through the
+    # per-map monomial memo
+    x = simplex_ring(GF(7), 1).gen("X1")
+    sp = SimplexPoly(GF(7), 1, 3 * x ** 2 + x + 2)
+    for kind, i, apply in (("d", 0, face), ("s", 1, degeneracy)):
+        memo = _structure_map(GF(7), 1, i, kind)[2]
+        memo.clear()
+        apply(i, sp)
+        assert set(memo) == set(sp.poly.terms)
 
 
 def test_face_indices_out_of_range():
