@@ -19,7 +19,7 @@ from . import serialize
 from .acceptance import DEFAULT_SEED, run_all
 from .factorization import factor_elementary, path_to_steinberg
 from .loops import c_loop, verify_path_identity
-from .oracles import (MAX_BAR_ORDER, milnor_k2_finite_field,
+from .oracles import (MAX_GROUP_ORDER, milnor_k2_finite_field,
                       schur_multiplier, tame_symbol)
 from .rings import FiniteField, QQ
 from .simplicial import _check_witness, face, path_to_simplex
@@ -225,8 +225,10 @@ def _cmd_schur(args) -> int:
     else:
         raise InputError("expected a {'gens': [...]} document or a list")
     # each generator is det-checked on load, then multiplied into up to
-    # MAX_BAR_ORDER + 1 elements while the group is enumerated
-    serialize.check_document_work(gen_docs, rounds=MAX_BAR_ORDER + 2)
+    # min(--bound, MAX_GROUP_ORDER) + 1 elements while the group is
+    # enumerated
+    rounds = max(0, min(args.bound, MAX_GROUP_ORDER)) + 2
+    serialize.check_document_work(gen_docs, rounds=rounds)
     gens = [serialize.matrix_from_json(d) for d in gen_docs]
     t0 = time.perf_counter()
     pres = schur_multiplier(gens, order_bound=args.bound)

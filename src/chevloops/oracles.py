@@ -4,13 +4,16 @@ finite fields, and bar-resolution Schur multipliers of small matrix groups.
 These are deliberately independent of the loop and word layers: the tame
 symbol is computed straight from valuations, the K2 presentations feed a
 generators-and-relations matrix to exact Smith normal form, and H2 of a
-finite group is ker d2 / im d3 of the normalized bar complex with integer
-coefficients.  H2 is read off modular certificates rather than an integer
-Smith form of d3: ranks at one prime not dividing |G| show it is finite,
-and since |G| annihilates it (Brown, Cohomology of Groups, III.10.2) each
-p-part for p | |G| comes from a local Smith form of d3 mod a power of p
-(Dumas, Saunders and Villard, JSC 32, 2001).  Finite-field groups serve
-as validation data only.
+finite group G is assembled from its Sylow subgroups P.  The p-part of
+H2(G) embeds in H2(P) by transfer, and equals the coinvariants of H2(P)
+under the normalizer when P is abelian (Brown, Cohomology of Groups,
+III.9-10; Swan, Illinois J. Math. 4, 1960).  H2(P) is ker d2 / im d3 of
+the normalized bar complex of P with integer coefficients, read off
+modular certificates rather than an integer Smith form of d3: ranks at
+one prime not dividing |P| show it is finite, and since |P| annihilates
+it (Brown, III.10.2) it comes from a local Smith form of d3 mod a power
+of p (Dumas, Saunders and Villard, JSC 32, 2001).  Finite-field groups
+serve as validation data only.
 """
 
 from __future__ import annotations
@@ -108,25 +111,37 @@ def tame_symbol(a, b, p: int) -> int:
     For nonzero rationals with p-adic valuations v(a), v(b):
 
         (-1)^(v(a) v(b)) * a^v(b) * b^(-v(a))   reduced mod p.
+
+    ``int`` and ``Fraction`` arguments are read as they are; anything else
+    goes through ``Fraction`` first.
     """
     if not _checked_prime(p):
         raise ValueError(f"{p} is not prime")
-    a = Fraction(a)
-    b = Fraction(b)
-    if a == 0 or b == 0:
+    if type(a) is not int and type(a) is not Fraction:
+        a = Fraction(a)
+    if type(b) is not int and type(b) is not Fraction:
+        b = Fraction(b)
+    na, da, nb, db = a.numerator, a.denominator, b.numerator, b.denominator
+    if not na or not nb:
         raise ZeroDivisionError("tame symbols need nonzero arguments")
-    na, va_n = _strip_p(a.numerator, p)
-    da, va_d = _strip_p(a.denominator, p)
-    nb, vb_n = _strip_p(b.numerator, p)
-    db, vb_d = _strip_p(b.denominator, p)
-    va = va_n - va_d
-    vb = vb_n - vb_d
-    a_unit = (na * pow(da, -1, p)) % p
-    b_unit = (nb * pow(db, -1, p)) % p
-    val = pow(-1, va * vb, p)
-    val = (val * pow(a_unit, vb, p)) % p
-    val = (val * pow(b_unit, -va, p)) % p
-    return val
+    va = vb = 0
+    while not na % p:
+        na //= p
+        va += 1
+    while not da % p:
+        da //= p
+        va -= 1
+    while not nb % p:
+        nb //= p
+        vb += 1
+    while not db % p:
+        db //= p
+        vb -= 1
+    val = pow(na * pow(da, -1, p), vb, p) if vb else 1
+    if va:
+        val = val * pow(nb * pow(db, -1, p), -va, p) % p
+    # the sign (-1)^(v(a) v(b)) is -1 exactly when both valuations are odd
+    return p - val if va & vb & 1 else val
 
 
 class AbelianGroupPresentation:
@@ -205,71 +220,173 @@ def milnor_k2_finite_field(q: int) -> AbelianGroupPresentation:
 
 
 def _enumerate_group(gens: list[GroupMatrix], bound: int):
-    """The group generated by ``gens``, breadth first from the identity;
-    stops at bound + 1 elements, so a longer list means order > bound."""
+    """The group generated by ``gens``, breadth first from the identity.
+
+    Returns ``(elems, act, parent)``: ``elems[0]`` is the identity,
+    ``act[s][i]`` is the index of ``elems[i] * gens[s]``, and for i > 0
+    ``parent[i] = (j, s)`` with j < i and ``elems[i] = elems[j] * gens[s]``.
+    Stops at bound + 1 elements, so a longer list means order > bound
+    (``act`` is then incomplete).
+    """
     ring, n = gens[0].ring, gens[0].n
     for g in gens:
         if g.ring != ring or g.n != n:
             raise ValueError("generators must share one ring and size")
     identity = GroupMatrix.identity(ring, n)
-    seen = {identity}
-    order = [identity]
-    frontier = [identity]
-    while frontier:
-        nxt = []
-        for g in frontier:
-            for h in gens:
-                x = g * h
-                if x not in seen:
-                    seen.add(x)
-                    order.append(x)
-                    if len(order) > bound:
-                        return order, identity
-                    nxt.append(x)
-        frontier = nxt
-    return order, identity
+    index = {identity: 0}
+    elems = [identity]
+    parent = [None]
+    act: list[list[int]] = [[] for _ in gens]
+    for i, g in enumerate(elems):        # elems grows: a breadth-first queue
+        for s, h in enumerate(gens):
+            x = g * h
+            j = index.get(x)
+            if j is None:
+                j = index[x] = len(elems)
+                elems.append(x)
+                parent.append((i, s))
+                if len(elems) > bound:
+                    return elems, act, parent
+            act[s].append(j)
+    return elems, act, parent
 
 
-MAX_BAR_COLUMNS = 20_000   # (|G| - 1)^3 columns of d3; SL2(F3) needs 12,167
+def _cayley_table(act, parent) -> list[list[int]]:
+    """``right[b][a]``, the index of a * b, so ``right[b]`` is right
+    multiplication by b.  Built from integer lookups only: for
+    b = parent(b) * s, a * b = act_s[a * parent(b)]."""
+    right = [list(range(len(parent)))]
+    for j, s in parent[1:]:
+        right.append(list(map(act[s].__getitem__, right[j])))
+    return right
+
+
+# d3 of a Sylow subgroup P has (|P| - 1)^3 columns
+MAX_BAR_COLUMNS = 20_000
 MAX_BAR_ORDER = 1 + _iroot(MAX_BAR_COLUMNS, 3)   # 28
+# Largest group the Schur oracle enumerates: SL2(F9) has 720 elements,
+# and the Cayley table's |G|^2 slots stay under 8 MiB.
+MAX_GROUP_ORDER = 1024
 
 
-def _bar_complex(elems, identity):
-    """Columns of d2 and d3 of the normalized bar complex of the group
-    ``elems``: sparse dicts over the bases [g] and [g|h] of non-identity
-    elements, in the order (g, h) and (g, h, k) with the last slot fastest.
+def _power(right, x: int, k: int) -> int:
+    y = 0
+    while k:
+        if k & 1:
+            y = right[x][y]
+        x = right[x][x]
+        k >>= 1
+    return y
+
+
+def _closure(right, gens: list[int]) -> list[int]:
+    """The subgroup generated by ``gens``, the identity first."""
+    sub, seen = [0], {0}
+    for x in sub:
+        for s in gens:
+            y = right[s][x]
+            if y not in seen:
+                seen.add(y)
+                sub.append(y)
+    return sub
+
+
+def _conjugate(right, inv, n: int, a: int) -> int:
+    """n a n^-1."""
+    return right[inv[n]][right[a][n]]
+
+
+def _sylow(right, inv, p: int, size: int) -> list[int]:
+    """A Sylow p-subgroup (``size`` elements), the identity first.
+
+    It grows by one p-element at a time that normalizes the subgroup so
+    far, so each step stays a p-group.  Such an element exists until the
+    size is reached: a smaller p-subgroup is proper in its normalizer
+    inside a Sylow subgroup that contains it.
     """
-    index = {g: i for i, g in enumerate(elems)}
-    mul = [[index[a * b] for b in elems] for a in elems]
-    e = index[identity]
-    nontriv = [i for i in range(len(elems)) if i != e]
+    p_elems = [x for x in range(1, len(right)) if _power(right, x, size) == 0]
+    gens: list[int] = []
+    sub = [0]
+    while len(sub) < size:
+        members = set(sub)
+        gens.append(next(x for x in p_elems if x not in members and all(
+            _conjugate(right, inv, x, a) in members for a in gens)))
+        sub = _closure(right, gens)
+    return sub
+
+
+def _column(terms) -> dict[int, int]:
+    col: dict[int, int] = {}
+    for r, s in terms:
+        if r is None:
+            continue
+        col[r] = col.get(r, 0) + s
+        if col[r] == 0:
+            del col[r]
+    return col
+
+
+def _bar_complex(right, sub: list[int]):
+    """Columns of d2 and d3 of the normalized bar complex of the subgroup
+    ``sub`` of the group with Cayley table ``right`` (identity 0).
+
+    Returns ``(d2_cols, d3_cols, pair)``: sparse dicts over the bases [g]
+    and [g|h] of the non-identity elements of ``sub``, in the order
+    (g, h) and (g, h, k) with the last slot fastest, and ``pair(g, h)``,
+    the row of [g|h] (None when g or h is the identity).  Raises
+    ``RuntimeError`` when ``sub`` is not closed under multiplication.
+    """
+    members = set(sub)
+    if any(right[h][g] not in members for g in sub for h in sub):
+        raise RuntimeError(f"the {len(sub)}-element subgroup is not closed "
+                           f"under multiplication")
+    nontriv = [g for g in sub if g]
     m = len(nontriv)
     # basis position of [g] and, through slot[g] * m + slot[h], of [g|h]
-    slot = [None] * len(elems)
-    for s, i in enumerate(nontriv):
-        slot[i] = s
-
-    def column(terms):
-        col: dict[int, int] = {}
-        for r, s in terms:
-            if r is None:
-                continue
-            col[r] = col.get(r, 0) + s
-            if col[r] == 0:
-                del col[r]
-        return col
+    slot: list[int | None] = [None] * len(right)
+    for s, g in enumerate(nontriv):
+        slot[g] = s
 
     def pair(g, h):
-        return None if g == e or h == e else slot[g] * m + slot[h]
+        return None if not g or not h else slot[g] * m + slot[h]
 
     # d2[g|h] = [h] - [gh] + [g], dropping the degenerate [e]
-    d2_cols = [column(((slot[h], 1), (slot[mul[g][h]], -1), (slot[g], 1)))
+    d2_cols = [_column(((slot[h], 1), (slot[right[h][g]], -1), (slot[g], 1)))
                for g in nontriv for h in nontriv]
     # d3[g|h|k] = [h|k] - [gh|k] + [g|hk] - [g|h], dropping tuples with e
-    d3_cols = [column(((pair(h, k), 1), (pair(mul[g][h], k), -1),
-                       (pair(g, mul[h][k]), 1), (pair(g, h), -1)))
+    d3_cols = [_column(((pair(h, k), 1), (pair(right[h][g], k), -1),
+                        (pair(g, right[k][h]), 1), (pair(g, h), -1)))
                for g in nontriv for h in nontriv for k in nontriv]
-    return d2_cols, d3_cols
+    return d2_cols, d3_cols, pair
+
+
+def _check_cycles(d2_cols, cols, message: str):
+    """Raise ``RuntimeError(message)`` unless d2 kills every column."""
+    for coldict in cols:
+        acc: dict[int, int] = {}
+        for r, v in coldict.items():
+            for rr, w in d2_cols[r].items():
+                acc[rr] = acc.get(rr, 0) + v * w
+        if any(acc.values()):
+            raise RuntimeError(message)
+
+
+def _conjugation_columns(right, inv, sub: list[int], pair):
+    """Columns (c_n - 1)([a|b] - [b|a]) for n in the normalizer of the
+    abelian subgroup ``sub`` and a, b in it, where c_n maps [a|b] to
+    [n a n^-1 | n b n^-1].  They span the relations of the coinvariants
+    H_2(P)_N, since [a|b] - [b|a] over a, b in P spans H_2(P) = Lambda^2 P
+    modulo boundaries."""
+    members = set(sub)
+    out = []
+    for n in range(len(right)):
+        c = {a: _conjugate(right, inv, n, a) for a in sub}
+        if not members.issuperset(c.values()):
+            continue
+        out += [_column(((pair(a, b), -1), (pair(b, a), 1),
+                         (pair(c[a], c[b]), 1), (pair(c[b], c[a]), -1)))
+                for i, a in enumerate(sub) for b in sub[i + 1:]]
+    return out
 
 
 def _elimination_order(cols: list[dict[int, int]]) -> list[dict[int, int]]:
@@ -335,51 +452,85 @@ def _merge_p_parts(parts: list[list[int]]) -> list[int]:
             if d > 1]
 
 
+def _p_part(right, inv, sub: list[int], p: int) -> list[int]:
+    """Invariant factors of the p-part of H_2 of the group with Cayley
+    table ``right``, from ``sub``, which must be a Sylow p-subgroup P.
+
+    Its bar complex carries every certificate of ``_h2_torsion`` and
+    d2 . d3 = 0.  Then (Brown, Cohomology of Groups, III.9-10):
+    - P = G: the p-part is H_2(P);
+    - H_2(P) = 0: the p-part is 0, since it embeds in H_2(P) by transfer;
+    - P abelian: it is the coinvariants H_2(P)_{N_G(P)} (Swan, Illinois
+      J. Math. 4, 1960), read from d3 with ``_conjugation_columns``
+      appended, each checked to be a cycle first;
+    - otherwise ``ValueError``: that case needs stable elements.
+    A ``sub`` of the wrong size or not closed raises ``RuntimeError``.
+    """
+    order = len(right)
+    size = p ** _strip_p(order, p)[1]
+    if len(sub) != size:
+        raise RuntimeError(f"the Sylow {p}-subgroup has {len(sub)} elements, "
+                           f"not {size}")
+    d2_cols, d3_cols, pair = _bar_complex(right, sub)
+    _check_cycles(d2_cols, d3_cols,
+                  "bar-complex boundary does not square to zero")
+    h2 = _h2_torsion(d2_cols, d3_cols, size)
+    if size == order or not h2:
+        return h2
+    if any(right[a][b] != right[b][a] for a in sub for b in sub):
+        raise ValueError(
+            f"the Sylow {p}-subgroup is not abelian and has H_2 = "
+            f"{' x '.join(f'Z/{d}' for d in h2)}; its p-part needs stable "
+            f"elements, which are not implemented")
+    cols = _conjugation_columns(right, inv, sub, pair)
+    _check_cycles(d2_cols, cols, "a conjugation column is not a cycle")
+    return _h2_torsion(d2_cols, d3_cols + cols, size)
+
+
 def schur_multiplier(gens: list[GroupMatrix],
                      order_bound: int = 200) -> AbelianGroupPresentation:
     """H_2(G, Z) of the finite matrix group generated by ``gens``.
 
-    Enumerates the group, stopping with an error past ``order_bound``
-    elements or once d3 would have more than ``MAX_BAR_COLUMNS`` columns
-    ((|G| - 1)^3, so |G| <= 28).  Assembles the normalized bar complex in
-    degrees 1..3 over the integers, verifies d2 . d3 = 0 exactly, and
-    reads off ker d2 / im d3 from modular certificates (see
-    ``_h2_torsion``): ranks at one large prime, and a local Smith form of
-    d3 at each prime dividing |G|.  Raises ``RuntimeError`` when a
-    certificate fails.  The result is returned as a diagonal
-    presentation.
+    Enumerates the group, stopping with an error past ``order_bound`` or
+    ``MAX_GROUP_ORDER`` elements, and refuses it when a Sylow subgroup P
+    would give d3 more than ``MAX_BAR_COLUMNS`` columns ((|P| - 1)^3, so
+    |P| <= 28).  Builds the Cayley table from the generators' action on
+    element indices, and reads each p-part of H_2 off a Sylow p-subgroup
+    (see ``_p_part``).  Raises ``RuntimeError`` when a certificate fails.
+    The result is returned as a diagonal presentation.
     """
     if not gens:
         raise ValueError("at least one generator is required")
-    elems, identity = _enumerate_group(
-        gens, min(order_bound, MAX_BAR_ORDER))
-    if len(elems) > order_bound:
+    elems, act, parent = _enumerate_group(
+        gens, min(order_bound, MAX_GROUP_ORDER))
+    order = len(elems)
+    if order > order_bound:
         raise ValueError(f"order bound {order_bound} exceeded: the group has "
                          f"more than {order_bound} elements")
-    if len(elems) > MAX_BAR_ORDER:
-        raise ValueError(
-            f"the group has more than {MAX_BAR_ORDER} elements, so d3 "
-            f"would have more than {MAX_BAR_COLUMNS} columns "
-            f"(MAX_BAR_COLUMNS = {MAX_BAR_COLUMNS})")
-    d2_cols, d3_cols = _bar_complex(elems, identity)
-
-    # the boundary must square to zero before any Smith form is trusted
-    for coldict in d3_cols:
-        acc: dict[int, int] = {}
-        for r, v in coldict.items():
-            for rr, w in d2_cols[r].items():
-                acc[rr] = acc.get(rr, 0) + v * w
-        if any(acc.values()):
-            raise RuntimeError("bar-complex boundary does not square to zero")
-
-    torsion = _h2_torsion(d2_cols, d3_cols, len(elems))
+    if order > MAX_GROUP_ORDER:
+        raise ValueError(f"the group has more than {MAX_GROUP_ORDER} "
+                         f"elements (MAX_GROUP_ORDER)")
+    sizes = {p: p ** _strip_p(order, p)[1]
+             for p in sorted(prime_factors(order))}
+    for p, size in sizes.items():
+        if size > MAX_BAR_ORDER:
+            raise ValueError(
+                f"the Sylow {p}-subgroup has {size} elements, so d3 would "
+                f"have more than {MAX_BAR_COLUMNS} columns "
+                f"(MAX_BAR_COLUMNS = {MAX_BAR_COLUMNS})")
+    right = _cayley_table(act, parent)
+    inv = [r.index(0) for r in right]
+    torsion = _merge_p_parts([
+        _p_part(right, inv, list(range(order)) if size == order
+                else _sylow(right, inv, p, size), p)
+        for p, size in sizes.items()])
     labels = [f"h{i + 1}" for i in range(len(torsion))]
     relations = SparseIntMatrix(
         len(torsion), len(torsion),
         [(i, i, d) for i, d in enumerate(torsion)])
     meta = {
-        "group_order": len(elems),
-        "complex": "normalized bar, degrees 1..3",
+        "group_order": order,
+        "complex": "normalized bar of each Sylow subgroup, degrees 1..3",
         "note": "finite matrix group used as oracle-validation data only",
     }
     return AbelianGroupPresentation(labels, relations, metadata=meta)

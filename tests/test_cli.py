@@ -1,6 +1,7 @@
 """CLI: JSON in, JSON out, deterministic bytes, exit-code contract."""
 
 import json
+import math
 import os
 import pathlib
 import random
@@ -234,17 +235,47 @@ def test_schur_output_deterministic_apart_from_timing(tmp_path, capsys):
                                "free_rank": 0}
 
 
-def test_schur_past_the_bar_complex_limit_is_exit_2(tmp_path, capsys):
-    # diag(6, 1/6) over F_41 has order 40: d3 would have 39^3 columns
-    g = {"schema": serialize.SCHEMA_MATRIX, "n": 2, "ring": "Fq:41^1",
-         "entries": [[[6], [0]], [[0], [7]]]}
+def _schur_doc(tmp_path, ring, mats):
     f = tmp_path / "gens.json"
-    f.write_text(json.dumps({"gens": [g]}))
+    f.write_text(json.dumps({"gens": [
+        {"schema": serialize.SCHEMA_MATRIX, "n": len(m), "ring": ring,
+         "entries": [[[x] for x in row] for row in m]} for m in mats]}))
+    return ["schur", "--gens", str(f)]
+
+
+def test_schur_answers_order_40_from_its_sylow_subgroups(tmp_path, capsys):
+    # diag(6, 1/6) over F_41 has order 40 = 8 * 5: both Sylow subgroups
+    # are cyclic, so H_2 = 0
+    argv = _schur_doc(tmp_path, "Fq:41^1", [[[6, 0], [0, 7]]])
     t0 = time.perf_counter()
-    code, doc = _run(capsys, ["schur", "--gens", str(f)])
+    code, doc = _run(capsys, argv)
+    assert time.perf_counter() - t0 < 1.0
+    assert code == 0
+    assert (doc["order"], doc["invariant_factors"]) == (40, [])
+
+
+def test_schur_sylow_past_the_bar_complex_limit_is_exit_2(tmp_path, capsys):
+    # 28 has order 32 mod 97: C32 is its own Sylow subgroup, and d3 would
+    # have 31^3 columns
+    z = 28
+    argv = _schur_doc(tmp_path, "Fq:97^1", [[[z, 0], [0, pow(z, -1, 97)]]])
+    t0 = time.perf_counter()
+    code, doc = _run(capsys, argv)
     assert time.perf_counter() - t0 < 1.0
     assert code == 2
     assert "MAX_BAR_COLUMNS" in doc["error"]
+
+
+def test_schur_of_sl3_f2_is_exit_2(tmp_path, capsys):
+    # its Sylow 2-subgroup is D_8, non-abelian with H_2 = Z/2
+    mats = []
+    for i, j in ((0, 1), (1, 2), (2, 0)):
+        m = [[int(r == s) for s in range(3)] for r in range(3)]
+        m[i][j] = 1
+        mats.append(m)
+    code, doc = _run(capsys, _schur_doc(tmp_path, "Fq:2^1", mats))
+    assert code == 2
+    assert "stable elements" in doc["error"]
 
 
 def test_simplicial_face_poly(tmp_path, capsys):
@@ -535,6 +566,53 @@ def test_the_densest_admitted_identity_answers_in_under_a_second(tmp_path,
                                 {"lhs": [a], "rhs": [a]})
     assert (code, out["equal"]) == (0, True)
     assert seconds < 1.0
+
+
+def _q_doc(rows):
+    return {"schema": serialize.SCHEMA_MATRIX, "n": len(rows), "ring": "Q",
+            "entries": [[str(x) for x in row] for row in rows]}
+
+
+def test_the_densest_admitted_entries_answer_in_under_a_second(tmp_path,
+                                                             capsys):
+    # each row over one 32-digit denominator with 32-digit numerators: the
+    # slowest shape found at the digit limit
+    n, rng = serialize.MAX_DOCUMENT_SIZE, random.Random("digits")
+    half = serialize.MAX_ENTRY_DIGITS // 2
+    rows = []
+    for _ in range(n):
+        den = rng.randrange(10 ** (half - 1), 10 ** half)
+        rows.append([Fraction(rng.randrange(10 ** half), den)
+                     for _ in range(n)])
+    code, out, seconds = _timed(tmp_path, capsys, ["factor"], _q_doc(rows))
+    assert (code, out) == (2, {"error": "determinant is not 1"})
+    assert seconds < 1.0
+
+
+@pytest.mark.parametrize("entry", [
+    "1" * 1000, "1/" + "3" * 65, "1e64", "-1e-64"])
+def test_q_entries_over_the_digit_limit_are_exit_2(tmp_path, capsys, entry):
+    # a dense 28x28 document of 1000-digit integers took 32 s to refuse
+    n = serialize.MAX_DOCUMENT_SIZE
+    rows = [[entry] * n for _ in range(n)]
+    code, out, seconds = _timed(tmp_path, capsys, ["factor"], _q_doc(rows))
+    assert code == 2
+    assert "MAX_ENTRY_DIGITS" in out["error"]
+    assert seconds < 1.0
+
+
+def test_q_entries_are_counted_over_their_row_denominator(tmp_path, capsys):
+    # the unipotent row (1, 1/p_1, ..., 1/p_27): no entry has more than four
+    # digits, but the row's common denominator is the product of the p_i
+    primes = [p for p in range(11, 1000) if chevloops.rings.is_prime(p)]
+    limit = 10 ** serialize.MAX_ENTRY_DIGITS
+    for ps, code in ((primes[:27], 0), (primes[-27:], 2)):
+        assert (math.prod(ps) >= limit) == (code == 2)
+        rows = [[int(r == s) for s in range(28)] for r in range(28)]
+        rows[0] = [1] + [Fraction(1, p) for p in ps]
+        got, out, _ = _timed(tmp_path, capsys, ["factor"], _q_doc(rows))
+        assert got == code
+        assert ("MAX_ENTRY_DIGITS" in out.get("error", "")) == (code == 2)
 
 
 def test_verify_identity_work_is_capped(tmp_path, capsys):

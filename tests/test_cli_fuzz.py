@@ -4,7 +4,8 @@ Every call runs in this process, through the one parser ``main`` keeps,
 on either a ``data/cli_golden.json`` case or a ``k2-check`` case on a
 word document (``WORD_CASES``) with one to three nodes of its
 input documents replaced (huge, negative, boolean and float numbers,
-deep nesting, unknown schemas, bad ring descriptors and rationals, or
+deep nesting, unknown schemas, bad ring descriptors and rationals,
+rationals past the entry digit limit, or
 a list of up to 30 copies of the node itself), or a
 flag-driven subcommand with adversarial flag values.  Each call must
 exit 0, 1 or 2, print exactly one JSON document, let no exception
@@ -57,7 +58,7 @@ STRINGS = st.one_of(
         "chevloops/word/v1", "chevloops/simplex-poly/v1",
         "chevloops/simplex-matrix/v1", "chevloops/unknown/v9",
         "1e999999", "1e-999999", "1/0", "nan", "inf", "-0", "3/-4",
-        "2/7", "1_000", " 5 ", "9" * 5000]),
+        "2/7", "1_000", " 5 ", "9" * 5000, "1/" + "3" * 65]),
     st.text(max_size=6))
 
 
