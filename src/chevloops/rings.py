@@ -753,9 +753,15 @@ class Poly:
         if ring._kind is not None and vs[0] in assignment:
             t = base(assignment[vs[0]])
             c = self._c
-            if not t:
+            # a Fraction against an int takes its int fast path; over F_q
+            # the coefficient vectors are compared directly
+            if ring._kind == "Q":
+                zero, one = 0, 1
+            else:
+                t, zero, one = t.coeffs, base.zero.coeffs, base.one.coeffs
+            if t == zero:
                 return self._scalar(c[0] if c else ring._zero_c)
-            if t == base.one:
+            if t == one:
                 return self._scalar(sum(c, ring._zero_c))
         keep = tuple(v for v in vs if v not in assignment)
         target = PolyRing(base, keep)

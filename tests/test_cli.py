@@ -20,6 +20,11 @@ from chevloops.cli import main
 GOLDEN = json.loads(
     (pathlib.Path(__file__).parent / "data" / "cli_golden.json").read_text(
         encoding="utf-8"))
+# k2m-field stdout and exit code for q = 2..16, captured from the
+# presentation with every bilinearity row (2(q-1)^3 of them)
+K2M_FIELD = json.loads(
+    (pathlib.Path(__file__).parent / "data" / "k2m_field.json").read_text(
+        encoding="utf-8"))
 
 
 def _run(capsys, argv):
@@ -204,6 +209,13 @@ def test_k2m_field_q2(capsys):
     assert code == 0
     assert doc["invariant_factors"] == []
     assert doc["free_rank"] == 0
+
+
+@pytest.mark.parametrize("q", range(2, 17))
+def test_k2m_field_bytes_are_pinned(q, capsys):
+    code = main(["k2m-field", "--q", str(q)])
+    assert capsys.readouterr().out == K2M_FIELD[str(q)]["stdout"]
+    assert code == K2M_FIELD[str(q)]["exit"]
 
 
 def test_schur_subcommand(tmp_path, capsys):

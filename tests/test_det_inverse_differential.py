@@ -12,6 +12,7 @@ k[].  The exact division inside the elimination is checked on its own
 over k[T]: it recovers q from q*d and refuses a non-multiple.
 """
 
+import functools
 from fractions import Fraction
 from itertools import permutations
 
@@ -41,6 +42,9 @@ CHECK = settings(max_examples=40, deadline=None, derandomize=True,
                  database=None)
 
 
+# The two element factories are memoized: one strategy object per ring
+# instead of a fresh one on every draw.  The drawn examples are the same.
+@functools.lru_cache(maxsize=None)
 @st.composite
 def _scalars(draw, field, unit=False):
     while True:
@@ -53,6 +57,7 @@ def _scalars(draw, field, unit=False):
             return x
 
 
+@functools.lru_cache(maxsize=None)
 @st.composite
 def _elements(draw, ring):
     if not isinstance(ring, PolyRing):

@@ -1,4 +1,8 @@
-"""Tame symbols, Milnor K2 of finite fields, and Schur multipliers."""
+"""Tame symbols, Milnor K2 of finite fields, and Schur multipliers.
+
+The K2 presentation is checked against the definitional one, which
+``_reference_k2_presentation`` writes out with every bilinearity row.
+"""
 
 import random
 import time
@@ -9,6 +13,7 @@ import pytest
 from chevloops import (GF, GroupMatrix, elem, milnor_k2_finite_field,
                        prime_factors, schur_multiplier, tame_symbol)
 from chevloops.rings import MAX_PRIME_TEST
+from chevloops.snf import SparseIntMatrix, smith_normal_form
 
 PRIMES_TO_97 = [2, 3, 5, 7, 11, 13, 17, 19, 23, 29, 31, 37, 41, 43, 47,
                 53, 59, 61, 67, 71, 73, 79, 83, 89, 97]
@@ -112,12 +117,89 @@ def test_prime_factors_refuses_past_max_prime_test():
             prime_factors(n)
 
 
-@pytest.mark.parametrize("q", [2, 3, 4, 5, 7, 8, 9, 11, 13])
+K2_FIELDS = [2, 3, 4, 5, 7, 8, 9, 11, 13, 16]
+
+
+@pytest.mark.parametrize("q", K2_FIELDS)
 def test_milnor_k2_finite_fields_trivial(q):
     pres = milnor_k2_finite_field(q)
     assert pres.invariant_factors == []
     assert pres.free_rank == 0
     assert len(pres.generators) == (q - 1) ** 2
+
+
+def _reference_k2_presentation(q):
+    """Labels, the number of bilinearity rows, and the relation matrix of
+    the definitional presentation: {u1 u2, v} - {u1, v} - {u2, v} and
+    {u, v1 v2} - {u, v1} - {u, v2} for every triple of units (2(q-1)^3
+    rows), then {u, 1-u} for u != 1."""
+    field = GF(q)
+    units = field.units()
+    gi = {}
+    labels = []
+    for u in units:
+        for v in units:
+            gi[(u, v)] = len(labels)
+            labels.append(f"{{{u},{v}}}")
+    entries = []
+    row = 0
+    for u1 in units:
+        for u2 in units:
+            w = u1 * u2
+            for v in units:
+                entries.append((row, gi[(w, v)], 1))
+                entries.append((row, gi[(u1, v)], -1))
+                entries.append((row, gi[(u2, v)], -1))
+                row += 1
+    for v1 in units:
+        for v2 in units:
+            w = v1 * v2
+            for u in units:
+                entries.append((row, gi[(u, w)], 1))
+                entries.append((row, gi[(u, v1)], -1))
+                entries.append((row, gi[(u, v2)], -1))
+                row += 1
+    bilinear = row
+    one = field.one
+    for u in units:
+        w = one - u
+        if w:
+            entries.append((row, gi[(u, w)], 1))
+            row += 1
+    return labels, bilinear, SparseIntMatrix(row, len(labels), entries)
+
+
+def _rows(matrix):
+    """The rows of ``matrix`` as frozensets of (column, value) entries."""
+    rows = {}
+    for (i, j), v in matrix.entries.items():
+        rows.setdefault(i, set()).add((j, v))
+    return [frozenset(r) for r in rows.values()]
+
+
+@pytest.mark.parametrize("q", K2_FIELDS)
+def test_milnor_k2_matches_the_definitional_presentation(q):
+    m = q - 1
+    pres = milnor_k2_finite_field(q)
+    labels, bilinear, ref = _reference_k2_presentation(q)
+    assert pres.generators == labels
+    assert pres.relations.ncols == ref.ncols
+    assert pres.relations.nrows == 2 * m * m + m - 1
+    # every relation is one of the definitional ones
+    assert set(_rows(pres.relations)) <= set(_rows(ref))
+    # so the bilinearity lattice along g lies in the full one; both
+    # quotients are Z/m (Z/m tensor Z/m), so the lattices are equal
+    for mat, stop in ((pres.relations, 2 * m * m), (ref, bilinear)):
+        block = SparseIntMatrix(stop, mat.ncols,
+                                [(i, j, v) for (i, j), v in mat.entries.items()
+                                 if i < stop])
+        snf = smith_normal_form(block)
+        assert snf.torsion == ([m] if m > 1 else [])
+        assert snf.free_rank == 0
+    full = smith_normal_form(ref)
+    assert pres.snf_diagonal == list(full.invariant_factors)
+    assert pres.invariant_factors == full.torsion
+    assert pres.free_rank == full.free_rank
 
 
 def test_milnor_k2_rejects_bad_q():
