@@ -36,6 +36,31 @@ def negate_root(root):
     return (j, i)
 
 
+def _canonical_letters(letters) -> list:
+    """Canonical form of validated ``((i, j), param)`` letters: zero
+    letters are dropped and adjacent letters on the same root merged by
+    x_a(u) x_a(v) = x_a(u + v); a merge that cancels exposes the letter
+    below it to the next one."""
+    stack: list = []
+    for root, param in letters:
+        if not param:
+            continue
+        if stack and stack[-1][0] == root:
+            param = stack.pop()[1] + param
+            if not param:
+                continue
+        stack.append((root, param))
+    return stack
+
+
+def _fused_addmul(ring):
+    """``Poly.addmul`` (a + x * f in one pass) for the dense k[T] form, None
+    where entries take plain ``a + x * f`` (fields and term-dict rings)."""
+    if isinstance(ring, PolyRing) and ring._kind is not None:
+        return Poly.addmul
+    return None
+
+
 def _leading_term(f: Poly):
     """(exponent vector, coefficient) of the largest term of a nonzero f:
     read off the dense tuple over k[T], lexicographic otherwise."""
@@ -77,6 +102,7 @@ def _bareiss(rows, ring, clear_above: bool):
     """
     n = len(rows)
     one = ring.one
+    addmul = _fused_addmul(ring)
     prev, odd, divide = one, False, False
     for k in range(n):
         piv = k
@@ -97,12 +123,14 @@ def _bareiss(rows, ring, clear_above: bool):
             c = row[k]
             if not c and not (scale or divide):
                 continue
+            neg_c = -c
             for j in range(k + 1, len(top)):
                 x = row[j]
                 if scale and x:
                     x = p * x
                 if c and top[j]:
-                    x = x - c * top[j]
+                    x = (addmul(x, neg_c, top[j]) if addmul
+                         else x + neg_c * top[j])
                 if divide and x:
                     x = _exact_div(ring, x, prev)
                 row[j] = x
@@ -120,8 +148,12 @@ class GroupMatrix:
     __slots__ = ("ring", "n", "rows", "_hash")
 
     def __init__(self, ring, rows, _checked: bool = False):
+        # internal callers (``_checked``) already hold elements of ``ring``
         n = len(rows)
-        ent = tuple(tuple(ring(x) for x in row) for row in rows)
+        if _checked:
+            ent = tuple(map(tuple, rows))
+        else:
+            ent = tuple(tuple(ring(x) for x in row) for row in rows)
         if any(len(row) != n for row in ent):
             raise ValueError("matrix must be square")
         self.ring = ring
@@ -154,6 +186,7 @@ class GroupMatrix:
         n = self.n
         a, b = self.rows, other.rows
         zero = self.ring.zero
+        addmul = _fused_addmul(self.ring)
         out = []
         for i in range(n):
             row = []
@@ -161,8 +194,9 @@ class GroupMatrix:
                 s = zero
                 for k in range(n):
                     aik = a[i][k]
-                    if aik != zero:
-                        s = s + aik * b[k][j]
+                    if aik:
+                        s = (addmul(s, aik, b[k][j]) if addmul
+                             else s + aik * b[k][j])
                 row.append(s)
             out.append(row)
         # products of determinant-1 matrices stay determinant 1 exactly
@@ -218,20 +252,25 @@ def elem(root, a, n: int, ring) -> GroupMatrix:
 
 
 def product_of_elementaries(ring, n: int, factors) -> GroupMatrix:
-    """Multiply out x_{a_1}(u_1) x_{a_2}(u_2) ... with O(n) column updates."""
+    """Multiply out x_{a_1}(u_1) x_{a_2}(u_2) ... with O(n) column updates.
+
+    Every letter is validated and coerced into ``ring`` first; the letters
+    are then put in the canonical form of Steinberg words (zero letters
+    dropped, adjacent letters on one root merged), which leaves the product
+    unchanged.  Each remaining letter x_(i,j)(f) adds f times column i to
+    column j, one ``a + x * f`` per nonzero entry of column i.
+    """
     one, zero = ring.one, ring.zero
+    addmul = _fused_addmul(ring)
     rows = [[one if r == c else zero for c in range(n)] for r in range(n)]
-    for root, param in factors:
-        i, j = check_root(root, n)
-        f = ring(param)
-        if f == zero:
-            continue
+    for (i, j), f in _canonical_letters(
+            (check_root(root, n), ring(param)) for root, param in factors):
         i -= 1
         j -= 1
-        for r in range(n):
-            x = rows[r][i]
-            if x != zero:
-                rows[r][j] = rows[r][j] + x * f
+        for row in rows:
+            x = row[i]
+            if x:
+                row[j] = addmul(row[j], x, f) if addmul else row[j] + x * f
     return GroupMatrix(ring, rows, _checked=True)
 
 
@@ -274,14 +313,21 @@ def h_elem(root, u, n: int, ring) -> GroupMatrix:
 def eval_matrix(m: GroupMatrix, t) -> GroupMatrix:
     """Evaluate a matrix over k[T] entrywise at T = t.
 
-    Evaluation is a ring homomorphism, so the determinant stays 1.
+    t is coerced into the base field once.  At T = 0 and T = 1 each entry
+    is read off its stored coefficients (the constant term, or their sum);
+    any other t goes through ``Poly.evaluate``.  Evaluation is a ring
+    homomorphism, so the determinant stays 1.
     """
     ring = m.ring
     if not isinstance(ring, PolyRing) or not ring.univariate:
         raise ValueError("eval_matrix needs a matrix over a univariate ring")
-    var = ring.variables[0]
     t = ring.base(t)
-    rows = [[x.evaluate({var: t}) for x in row] for row in m.rows]
+    end = ring._endpoint(t)
+    if end is None:
+        assignment = {ring.variables[0]: t}
+        rows = [[x.evaluate(assignment) for x in row] for row in m.rows]
+    else:
+        rows = [[x._at_endpoint(end) for x in row] for row in m.rows]
     return GroupMatrix(ring.base, rows, _checked=True)
 
 

@@ -13,16 +13,16 @@ h(u) = w(u) w(1)^{-1}, keeping every emitted factor an honest x_(i,j)(f).
 
 from __future__ import annotations
 
-from .chevalley import h_letter_seq, product_of_elementaries
-from .loops import PathMatrix, path_ring
-from .rings import FiniteField, Poly, PolyRing, QQ, poly_divmod
+from .chevalley import _fused_addmul, h_letter_seq, product_of_elementaries
+from .loops import PathMatrix, _scaled_path
+from .rings import FiniteField, PolyRing, QQ, poly_divmod
 from .steinberg import SteinbergWord
 
 
 def _ring_tools(ring):
     if ring is QQ or isinstance(ring, FiniteField):
         def deg(x):
-            return -1 if x == ring.zero else 0
+            return 0 if x else -1
 
         def divmod_fn(a, b):
             return a * ring.invert(b), ring.zero
@@ -45,15 +45,21 @@ def factor_elementary(m) -> list:
     mat = m.matrix if isinstance(m, PathMatrix) else m
     ring = mat.ring
     deg, divmod_fn = _ring_tools(ring)
+    addmul = _fused_addmul(ring)
     n = mat.n
-    zero, one = ring.zero, ring.one
+    one = ring.one
     rows = [list(r) for r in mat.rows]
     ops: list = []   # row r_i += c * r_j, recorded as ((i, j), c), 1-based
 
     def row_op(i: int, j: int, c):
-        if c == zero:
+        if not c:
             return
-        rows[i] = [a + c * b for a, b in zip(rows[i], rows[j])]
+        if addmul:
+            rows[i] = [addmul(a, c, b) if b else a
+                       for a, b in zip(rows[i], rows[j])]
+        else:
+            rows[i] = [a + c * b if b else a
+                       for a, b in zip(rows[i], rows[j])]
         ops.append(((i + 1, j + 1), c))
 
     # phase 1: clear below the diagonal, column by column, by Euclidean
@@ -61,7 +67,7 @@ def factor_elementary(m) -> list:
     for k in range(n):
         while True:
             live = [(deg(rows[r][k]), r) for r in range(k, n)
-                    if rows[r][k] != zero]
+                    if rows[r][k]]
             if len(live) <= 1:
                 break
             live.sort()
@@ -69,9 +75,9 @@ def factor_elementary(m) -> list:
             for _, r in live[1:]:
                 q, _rem = divmod_fn(rows[r][k], rows[piv][k])
                 row_op(r, piv, -q)
-        if not any(rows[r][k] != zero for r in range(k, n)):
+        if not any(rows[r][k] for r in range(k, n)):
             raise ValueError("matrix is singular; determinant cannot be 1")
-        r = next(r for r in range(k, n) if rows[r][k] != zero)
+        r = next(r for r in range(k, n) if rows[r][k])
         if r != k:
             # swap rows k and r with three transvections (det stays 1):
             # (a, b) -> (a+b, b) -> (a+b, -a) -> (b, -a)
@@ -85,7 +91,7 @@ def factor_elementary(m) -> list:
         d_inv = ring.invert(rows[j][j])
         for i in range(j):
             c = rows[i][j]
-            if c != zero:
+            if c:
                 row_op(i, j, -(c * d_inv))
 
     # phase 3: expand diag(d1, ..., dn) as a product of h's down the
@@ -121,10 +127,7 @@ def word_to_path(w: SteinbergWord) -> PathMatrix:
     The result evaluates to the identity at T = 0 and to the word's
     projection at T = 1; kernel words therefore give loops.
     """
-    ring = path_ring(w.ring)
-    t = ring.gen("T")
-    letters = [(root, t * ring(param)) for root, param in w.letters]
-    return PathMatrix(product_of_elementaries(ring, w.n, letters))
+    return _scaled_path(w.letters, w.n, w.ring)
 
 
 def path_to_steinberg(y: PathMatrix) -> SteinbergWord:
@@ -135,10 +138,7 @@ def path_to_steinberg(y: PathMatrix) -> SteinbergWord:
     """
     if not y.at(0).is_identity():
         raise ValueError("not a based path: evaluation at T = 0 is not 1")
-    factors = factor_elementary(y.matrix)
-    var = y.ring.variables[0]
-    one = y.base.one
-    letters = [(root, param.evaluate({var: one})
-                if isinstance(param, Poly) else param)
-               for root, param in factors]
+    at_one = {y.ring.variables[0]: y.base.one}
+    letters = [(root, param.evaluate(at_one))
+               for root, param in factor_elementary(y.matrix)]
     return SteinbergWord(y.base, y.n, letters)

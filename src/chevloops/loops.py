@@ -15,9 +15,9 @@ identity to h(u) and a loop only when u = 1.
 
 from __future__ import annotations
 
-from .chevalley import (GroupMatrix, c_letter_seq, elem, eval_matrix,
-                        h_letter_seq, product_of_elementaries,
-                        w_letter_seq)
+from .chevalley import (GroupMatrix, _canonical_letters, c_letter_seq,
+                        check_root, elem, eval_matrix, h_letter_seq,
+                        product_of_elementaries, w_letter_seq)
 from .rings import PolyRing
 
 _PATH_RINGS: dict = {}
@@ -88,9 +88,19 @@ class PathMatrix:
         return f"PathMatrix({self.n}x{self.n} over {self.ring!r})"
 
 
-def _scale_by_t(letters, ring: PolyRing):
+def _scaled_path(letters, n: int, field) -> PathMatrix:
+    """The product of the letters x_a(u) over k scaled to x_a(T u).
+
+    The letters are validated and merged over k first, as words are, so
+    the scalings and the product over k[T] see only the letters that
+    remain.
+    """
+    ring = path_ring(field)
     t = ring.gen(ring.variables[0])
-    return [(root, t * ring(param)) for root, param in letters]
+    letters = _canonical_letters(
+        (check_root(root, n), field(param)) for root, param in letters)
+    return PathMatrix(product_of_elementaries(
+        ring, n, [(root, t * ring(param)) for root, param in letters]))
 
 
 def x_loop(root, u, n: int, field) -> PathMatrix:
@@ -102,23 +112,18 @@ def x_loop(root, u, n: int, field) -> PathMatrix:
 
 def w_loop(root, u, n: int, field) -> PathMatrix:
     """W_T(u); u must be a unit of k."""
-    ring = path_ring(field)
-    letters = _scale_by_t(w_letter_seq(root, field(u), field), ring)
-    return PathMatrix(product_of_elementaries(ring, n, letters))
+    return _scaled_path(w_letter_seq(root, field(u), field), n, field)
 
 
 def h_loop(root, u, n: int, field) -> PathMatrix:
     """H_T(u) = W_T(u) W_T(1)^{-1}: a path from the identity to h(u)."""
-    ring = path_ring(field)
-    letters = _scale_by_t(h_letter_seq(root, field(u), field), ring)
-    return PathMatrix(product_of_elementaries(ring, n, letters))
+    return _scaled_path(h_letter_seq(root, field(u), field), n, field)
 
 
 def c_loop(root, a, b, n: int, field) -> PathMatrix:
     """The symbol loop C_T(a, b) = H_T(a) H_T(b) H_T(ab)^{-1}."""
-    ring = path_ring(field)
-    letters = _scale_by_t(c_letter_seq(root, field(a), field(b), field), ring)
-    return PathMatrix(product_of_elementaries(ring, n, letters))
+    return _scaled_path(c_letter_seq(root, field(a), field(b), field), n,
+                        field)
 
 
 def identity_path(field, n: int) -> PathMatrix:

@@ -6,11 +6,12 @@ no floating point enters anywhere.  Rational numbers are represented by
 fields by coefficient vectors modulo a fixed irreducible polynomial.
 Polynomials in one variable (k[T], and k[D^1] in X1) are dense
 little-endian coefficient tuples: ints mod p over F_p, integer numerators
-over one shared denominator over Q, and field elements over F_{p^e}.
-Polynomials in zero or several variables map exponent vectors to nonzero
-coefficients.  Every map between polynomial rings is ``Poly.substitute``,
-one loop over the monomials of either form; ``Poly.evaluate`` reads
-coefficients directly only at T = 0 and T = 1.
+over one shared denominator over Q, and field elements over F_{p^e};
+``Poly.addmul`` fuses a + x * f on that form.  Polynomials in zero or
+several variables map exponent vectors to nonzero coefficients.  Every
+map between polynomial rings is ``Poly.substitute``, one loop over the
+monomials of either form; ``Poly.evaluate`` reads coefficients directly
+only at T = 0 and T = 1.
 """
 
 from __future__ import annotations
@@ -444,6 +445,21 @@ class PolyRing:
     def descriptor(self) -> str:
         return f"poly:{self.base.descriptor()}:{','.join(self.variables)}"
 
+    def _endpoint(self, t):
+        """For a base-field scalar t: False at t = 0, True at t = 1, None
+        otherwise.  A Fraction against an int takes its int fast path; over
+        F_q the coefficient vectors are compared directly."""
+        if self._kind == "Q":
+            zero, one = 0, 1
+        else:
+            base = self.base
+            t, zero, one = t.coeffs, base.zero.coeffs, base.one.coeffs
+        if t == zero:
+            return False
+        if t == one:
+            return True
+        return None
+
     def __eq__(self, other):
         return (isinstance(other, PolyRing) and other.base is self.base
                 and other.variables == self.variables)
@@ -477,12 +493,16 @@ def _q_poly(ring: PolyRing, c, d: int) -> "Poly":
     return _poly(ring, c, d)
 
 
-def _convolve(a, b, zero):
-    """Coefficients of the product of two dense polynomials, unreduced."""
+def _convolve(a, b, zero, acc=()):
+    """Coefficients of ``acc`` plus the product of two dense polynomials,
+    unreduced."""
     if len(a) < len(b):
         a, b = b, a
     la = len(a)
-    out = [zero] * (la + len(b) - 1)
+    out = list(acc)
+    short = la + len(b) - 1 - len(out)
+    if short > 0:
+        out += [zero] * short
     for j, y in enumerate(b):
         if y:
             out[j:j + la] = [u + x * y for u, x in zip(out[j:j + la], a)]
@@ -647,6 +667,41 @@ class Poly:
 
     __rmul__ = __mul__
 
+    def addmul(self, x, f) -> "Poly":
+        """self + x * f with one convolution onto self's coefficients.
+
+        In the dense one-variable form the denominators over Q are aligned
+        once and the sum is normalized once; over F_p one mod pass reduces
+        it.  Term-dict or mixed-ring operands go through ``self + x * f``,
+        with its errors.
+        """
+        ring = self.ring
+        kind = ring._kind
+        if (kind is None or x.__class__ is not Poly or f.__class__ is not Poly
+                or x.ring is not ring or f.ring is not ring):
+            return self + x * f
+        b, c = x._c, f._c
+        if not b or not c:
+            return self
+        a = self._c
+        if kind == "Q":
+            d, dp = self._d, x._d * f._d
+            if d != dp:
+                g = gcd(d, dp)
+                ma, mp = dp // g, d // g
+                if ma != 1:
+                    a = [v * ma for v in a]
+                if len(b) > len(c):
+                    b, c = c, b
+                b = [v * mp for v in b]
+                d *= ma
+            return _q_poly(ring, _convolve(b, c, 0, a), d)
+        out = _convolve(b, c, ring._zero_c, a)
+        if kind == "p":
+            p = ring._p
+            out = [v % p for v in out]
+        return _poly(ring, _trim(out))
+
     def _mul_terms(self, o):
         a, b = self._c, o._c
         ring = self.ring
@@ -751,24 +806,24 @@ class Poly:
         base = ring.base
         vs = ring.variables
         if ring._kind is not None and vs[0] in assignment:
-            t = base(assignment[vs[0]])
-            c = self._c
-            # a Fraction against an int takes its int fast path; over F_q
-            # the coefficient vectors are compared directly
-            if ring._kind == "Q":
-                zero, one = 0, 1
-            else:
-                t, zero, one = t.coeffs, base.zero.coeffs, base.one.coeffs
-            if t == zero:
-                return self._scalar(c[0] if c else ring._zero_c)
-            if t == one:
-                return self._scalar(sum(c, ring._zero_c))
+            end = ring._endpoint(base(assignment[vs[0]]))
+            if end is not None:
+                return self._at_endpoint(end)
         keep = tuple(v for v in vs if v not in assignment)
         target = PolyRing(base, keep)
         image = self.substitute(
             {v: target.gen(v) if v in keep else base(assignment[v])
              for v in vs}, target)
         return image if keep else image.constant_value()
+
+    def _at_endpoint(self, one: bool):
+        """The value at T = 1 when ``one``, else at T = 0, of a dense
+        one-variable polynomial: the sum of its stored coefficients, or its
+        constant term (see ``PolyRing._endpoint``)."""
+        c = self._c
+        if one:
+            return self._scalar(sum(c, self.ring._zero_c))
+        return self._scalar(c[0] if c else self.ring._zero_c)
 
     def substitute(self, mapping: dict, target: PolyRing,
                    memo: dict | None = None) -> "Poly":

@@ -14,11 +14,28 @@ words over SL_2 carry a caveat flag instead of a faithfulness claim.
 
 from __future__ import annotations
 
-from .chevalley import (c_letter_seq, check_root, product_of_elementaries)
+from .chevalley import (_canonical_letters, c_letter_seq, check_root,
+                        product_of_elementaries)
 from .oracles import prime_factors, tame_symbol
 from .rings import QQ
 
 RANK_ONE_CAVEAT = "rank-1: presentation not modeled"
+
+
+def _signed_letters(ring, n: int, letters):
+    """Validate ``(root, param)`` or ``(root, param, sign)`` letters and
+    fold each sign into its parameter."""
+    for letter in letters:
+        if len(letter) == 3:
+            root, param, sign = letter
+            if sign not in (1, -1):
+                raise ValueError(f"letter sign must be +-1, got {sign}")
+        else:
+            root, param = letter
+            sign = 1
+        root = check_root(root, n)
+        param = ring(param)
+        yield root, (-param if sign < 0 else param)
 
 
 class SteinbergWord:
@@ -29,32 +46,10 @@ class SteinbergWord:
     def __init__(self, ring, n: int, letters, _symbols=None):
         if n < 2:
             raise ValueError(f"word size must be at least 2, got {n}")
-        stack: list = []
-        zero = ring.zero
-        for letter in letters:
-            if len(letter) == 3:
-                root, param, sign = letter
-                if sign not in (1, -1):
-                    raise ValueError(f"letter sign must be +-1, got {sign}")
-            else:
-                root, param = letter
-                sign = 1
-            i, j = check_root(root, n)
-            param = ring(param)
-            if sign < 0:
-                param = -param
-            if param == zero:
-                continue
-            if stack and stack[-1][0] == (i, j):
-                merged = stack[-1][1] + param
-                stack.pop()
-                if merged != zero:
-                    stack.append(((i, j), merged))
-            else:
-                stack.append(((i, j), param))
         self.ring = ring
         self.n = n
-        self.letters = tuple(stack)
+        self.letters = tuple(_canonical_letters(
+            _signed_letters(ring, n, letters)))
         self._symbols = _symbols
 
     @classmethod

@@ -8,6 +8,48 @@ import pytest
 
 from chevloops import (GF, GroupMatrix, PolyRing, QQ, commutator, elem,
                        eval_matrix, h_elem, product_of_elementaries, w_elem)
+from chevloops.chevalley import c_letter_seq
+
+Q_T = PolyRing(QQ, ("T",))
+F7_T = PolyRing(GF(7), ("T",))
+LETTER_RINGS = {"Q": QQ, "F7": GF(7), "Q[T]": Q_T, "F7[T]": F7_T}
+
+
+def _random_param(rng, ring):
+    """A scalar in [-3, 3], or a + bT over k[T]; zero about a seventh of
+    the time."""
+    if isinstance(ring, PolyRing):
+        t = ring.gen("T")
+        return ring(rng.randint(-3, 3)) + ring(rng.randint(-3, 3)) * t
+    return ring(rng.randint(-3, 3))
+
+
+def _random_letters(rng, ring, n, count):
+    """Letters with forced adjacent repeats and exact cancellations."""
+    roots = [(i, j) for i in range(1, n + 1) for j in range(1, n + 1)
+             if i != j]
+    letters = []
+    while len(letters) < count:
+        move = rng.random()
+        if letters and move < 0.25:          # same root, new parameter
+            letters.append((letters[-1][0], _random_param(rng, ring)))
+        elif letters and move < 0.45:        # cancels the previous letter
+            letters.append((letters[-1][0], -letters[-1][1]))
+        else:
+            letters.append((rng.choice(roots), _random_param(rng, ring)))
+    return letters
+
+
+def _definitional_product(ring, n, letters):
+    """Left-to-right product of elem matrices, with entries summed by
+    plain + and * (no merging, no fused kernel)."""
+    acc = [[ring.one if i == j else ring.zero for j in range(n)]
+           for i in range(n)]
+    for root, param in letters:
+        x = elem(root, param, n, ring).rows
+        acc = [[sum((acc[i][k] * x[k][j] for k in range(n)), ring.zero)
+                for j in range(n)] for i in range(n)]
+    return acc
 
 
 def test_elem_examples():
@@ -33,6 +75,48 @@ def test_elem_rejects_bad_roots():
         elem((1, 4), 1, 3, QQ)
     with pytest.raises(ValueError):
         elem((0, 1), 1, 2, QQ)
+    # letters that merging would drop are still validated
+    for ring in LETTER_RINGS.values():
+        for bad in ((1, 1), (1, 4), (0, 1), (1, 2.0), 7):
+            with pytest.raises(ValueError):
+                product_of_elementaries(ring, 3, [((1, 2), 1), (bad, 0)])
+            with pytest.raises(ValueError):
+                product_of_elementaries(
+                    ring, 3, [((1, 2), 1), (bad, 1), ((1, 2), -1)])
+        with pytest.raises(ValueError):
+            product_of_elementaries(ring, 3, [((1, 2), 1), ((1, 2), -1),
+                                              ((2, 3), object())])
+
+
+@pytest.mark.parametrize("name", sorted(LETTER_RINGS))
+def test_product_of_elementaries_is_the_definitional_product(name):
+    ring = LETTER_RINGS[name]
+    rng = random.Random(f"letters-{name}")
+    for _ in range(40):
+        n = rng.randint(2, 4)
+        letters = _random_letters(rng, ring, n, rng.randint(0, 14))
+        got = product_of_elementaries(ring, n, letters)
+        assert [list(r) for r in got.rows] == \
+            _definitional_product(ring, n, letters)
+    # merging must stop at a different root, commuting or not
+    a, b, c = (_random_param(rng, ring) or ring.one for _ in range(3))
+    for roots in (((1, 2), (2, 3), (1, 2)), ((1, 2), (1, 3), (1, 2)),
+                  ((2, 1), (1, 2), (2, 1))):
+        letters = list(zip(roots, (a, b, c)))
+        assert [list(r) for r in
+                product_of_elementaries(ring, 3, letters).rows] == \
+            _definitional_product(ring, 3, letters)
+    # c(u, 1) = h(u) h(1) h(u)^{-1} cancels to nothing, over k[T] with its
+    # letters scaled by T as well
+    field = ring.base if isinstance(ring, PolyRing) else ring
+    for n in (2, 3, 4):
+        letters = c_letter_seq((1, n), field(rng.randint(2, 6)), 1, field)
+        if isinstance(ring, PolyRing):
+            t = ring.gen("T")
+            letters = [(root, t * ring(param)) for root, param in letters]
+        assert product_of_elementaries(ring, n, letters).is_identity()
+        assert _definitional_product(ring, n, letters) == \
+            [list(r) for r in GroupMatrix.identity(ring, n).rows]
 
 
 def test_commutator_relations_type_a():
@@ -117,19 +201,44 @@ def test_eval_matrix_examples():
 
 
 def test_eval_commutes_with_multiplication():
-    rng = random.Random("eval-mult")
-    ring = PolyRing(GF(7), ("T",))
-    t = ring.gen("T")
-    field = GF(7)
-    for _ in range(20):
-        a = elem((1, 2), t * field(rng.randint(0, 6)), 3, ring)
-        b = elem((2, 3), t * t * field(rng.randint(0, 6)), 3, ring)
-        c = elem((3, 1), t * field(rng.randint(0, 6)), 3, ring)
-        prod = a * b * c
-        t0 = field(rng.randint(0, 6))
-        assert eval_matrix(prod, t0) == \
-            eval_matrix(a, t0) * eval_matrix(b, t0) * eval_matrix(c, t0)
-        assert eval_matrix(prod, t0).det() == field.one
+    # eval_matrix reads T = 0 and T = 1 off the stored coefficients; at
+    # those and at t0 it must also equal entrywise evaluate and the
+    # definitional sum, zero entries included.  F_9 stores FqElements.
+    for field in (GF(7), QQ, GF(9)):
+        rng = random.Random("eval-mult")
+        ring = PolyRing(field, ("T",))
+        t = ring.gen("T")
+        elements = None if field is QQ else list(field.elements())
+
+        def draw():
+            if field is GF(7):
+                return field(rng.randint(0, 6))
+            if elements is None:
+                return Fraction(rng.randint(-6, 6), rng.randint(1, 4))
+            return rng.choice(elements)
+
+        zeros = 0
+        for _ in range(20):
+            a = elem((1, 2), t * draw(), 3, ring)
+            b = elem((2, 3), t * t * draw(), 3, ring)
+            c = elem((3, 1), t * draw(), 3, ring)
+            prod = a * b * c
+            t0 = draw()
+            assert eval_matrix(prod, t0) == \
+                eval_matrix(a, t0) * eval_matrix(b, t0) * eval_matrix(c, t0)
+            assert eval_matrix(prod, t0).det() == field.one
+            for x in (field.zero, field.one, t0):
+                got = eval_matrix(prod, x)
+                for i in range(3):
+                    for j in range(3):
+                        entry = prod.rows[i][j]
+                        zeros += not entry
+                        want = field.zero
+                        for (k,), coeff in entry.terms.items():
+                            want = want + coeff * x ** k
+                        assert got.rows[i][j] == \
+                            entry.evaluate({"T": x}) == want
+        assert zeros
 
 
 def test_construction_checks_determinant():

@@ -11,7 +11,8 @@ from fractions import Fraction
 
 import pytest
 
-from chevloops import GF, Poly, PolyRing, QQ, poly_divmod
+from chevloops import (GF, GroupMatrix, Poly, PolyRing, QQ, eval_matrix,
+                       poly_divmod)
 
 hypothesis = pytest.importorskip("hypothesis")
 st = hypothesis.strategies
@@ -53,10 +54,19 @@ def test_ring_operations_match_the_dict_form(name):
     polys = st.lists(scalars, max_size=7)
 
     @CHECK
-    @given(polys, polys, st.integers(0, 3))
-    def check(cf, cg, k):
+    @given(polys, polys, polys, st.integers(0, 3))
+    def check(cf, cg, ch, k):
         f, rf = _pair(ring, big, cf)
         g, rg = _pair(ring, big, cg)
+        h, rh = _pair(ring, big, ch)
+        # the fused kernel: the same value, and the same stored form, as
+        # the two-step sum
+        fused = f.addmul(g, h)
+        assert _embed(big, fused) == rf + rg * rh
+        assert fused == f + g * h and hash(fused) == hash(f + g * h)
+        assert f.addmul(-f, ring.one) == ring.zero
+        assert f.addmul(ring.zero, h) == f and f.addmul(g, ring.zero) == f
+        assert ring.zero.addmul(g, h) == g * h
         assert _embed(big, f + g) == rf + rg
         assert _embed(big, f - g) == rf - rg
         assert _embed(big, -f) == -rf
@@ -71,6 +81,27 @@ def test_ring_operations_match_the_dict_form(name):
         assert Poly(ring, f.terms) == f
         assert f.terms == {(e[0],): c for e, c in rf.terms.items()}
     check()
+
+
+def test_addmul_outside_the_dense_form_is_the_two_step_sum():
+    # term-dict operands, scalars and mixed rings take a + x * f, errors
+    # included
+    ring = PolyRing(QQ, ("T", "S"))
+    t, s = ring.gens()
+    f, x, g = t * s + 1, t - Fraction(1, 2), s * s + t
+    assert f.addmul(x, g) == f + x * g
+    assert f.addmul(-f, ring.one) == ring.zero
+    assert f.addmul(3, g) == f + 3 * g
+    dense = PolyRing(QQ, ("T",))
+    assert dense.gen("T").addmul(3, Fraction(1, 2)) == \
+        dense.gen("T") + Fraction(3, 2)
+    with pytest.raises(ValueError, match="mixed rings"):
+        f.addmul(dense.gen("T"), g)
+    with pytest.raises(ValueError, match="mixed rings"):
+        dense.one.addmul(x, g)
+    seven = PolyRing(GF(7), ("T",))
+    with pytest.raises(ValueError, match="mixed rings"):
+        dense.one.addmul(dense.gen("T"), seven.gen("T"))
 
 
 @pytest.mark.parametrize("name", sorted(FIELDS))
@@ -108,6 +139,9 @@ def test_evaluate_is_the_definitional_sum(name):
             for k, c in enumerate(cf):
                 want = want + c * x ** k
             assert f.evaluate({"T": x}) == want
+            # eval_matrix coerces x once and reads endpoints itself
+            one_by_one = GroupMatrix(ring, [[f]], _checked=True)
+            assert eval_matrix(one_by_one, x).rows == ((want,),)
     check()
 
 
