@@ -14,6 +14,8 @@ coefficients, read off modular certificates rather than an integer Smith
 form of d3: ranks at one prime not dividing |P| show it is finite, and
 since |P| annihilates it (Brown, III.10.2) it comes from a local Smith
 form of d3 mod a power of p (Dumas, Saunders and Villard, JSC 32, 2001).
+That answer is a divisibility chain, so its diagonal presentation carries
+itself as Smith form; only the K2 presentation calls ``smith_normal_form``.
 Finite-field groups serve as validation data only.
 """
 
@@ -146,17 +148,18 @@ def tame_symbol(a, b, p: int) -> int:
 
 
 class AbelianGroupPresentation:
-    """Generators plus an integer relation matrix (rows are relations).
+    """Generators, an integer relation matrix (rows are relations) and its
+    Smith form ``snf``, which the caller computes.
 
     ``invariant_factors`` lists the torsion coefficients (each >= 2, in a
     divisibility chain); ``snf_diagonal`` keeps the full nonzero diagonal
     of the Smith form, including 1s.
     """
 
-    def __init__(self, generators, relations: SparseIntMatrix, metadata=None):
+    def __init__(self, generators, relations: SparseIntMatrix,
+                 snf: SNFResult, metadata=None):
         if relations.ncols != len(generators):
             raise ValueError("relation matrix width must match generators")
-        snf: SNFResult = smith_normal_form(relations)
         self.generators = list(generators)
         self.relations = relations
         self.snf_diagonal = list(snf.invariant_factors)
@@ -228,7 +231,9 @@ def milnor_k2_finite_field(q: int) -> AbelianGroupPresentation:
             entries.append((row, a * m + w, 1))
             row += 1
     relations = SparseIntMatrix(row, len(labels), entries)
-    return AbelianGroupPresentation(labels, relations, metadata={"q": q})
+    return AbelianGroupPresentation(labels, relations,
+                                    smith_normal_form(relations),
+                                    metadata={"q": q})
 
 
 def _enumerate_group(gens: list[GroupMatrix], bound: int):
@@ -509,7 +514,8 @@ def schur_multiplier(gens: list[GroupMatrix],
     |P| <= 28).  Builds the Cayley table from the generators' action on
     element indices, and reads each p-part of H_2 off a Sylow p-subgroup
     (see ``_p_part``).  Raises ``RuntimeError`` when a certificate fails.
-    The result is returned as a diagonal presentation.
+    The result is returned as a diagonal presentation, which is its own
+    Smith form, so no integer Smith form runs.
     """
     if not gens:
         raise ValueError("at least one generator is required")
@@ -545,4 +551,6 @@ def schur_multiplier(gens: list[GroupMatrix],
         "complex": "normalized bar of each Sylow subgroup, degrees 1..3",
         "note": "finite matrix group used as oracle-validation data only",
     }
-    return AbelianGroupPresentation(labels, relations, metadata=meta)
+    # a divisibility chain on the diagonal is its own Smith form
+    return AbelianGroupPresentation(labels, relations, SNFResult(torsion, 0),
+                                    metadata=meta)

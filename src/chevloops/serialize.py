@@ -1,5 +1,5 @@
-"""JSON wire formats: ring descriptors, scalars, matrices, paths, words,
-simplices, and abelian-group presentations.
+"""JSON wire formats: ring descriptors, scalars, matrices, paths, words
+and simplices.
 
 Ring descriptors form one flat namespace across all subcommands:
 ``Q``, ``Fq:<p>^<e>``, and ``poly:<base>:<v1,v2,...>``.  Rationals are
@@ -16,10 +16,8 @@ from math import comb, lcm
 
 from .chevalley import GroupMatrix
 from .loops import PathMatrix
-from .oracles import AbelianGroupPresentation
 from .rings import GF, MAX_PRIME_TEST, FiniteField, Poly, PolyRing, QQ
 from .simplicial import SimplexMatrix, SimplexPoly, simplex_ring
-from .snf import SparseIntMatrix
 from .steinberg import SteinbergWord
 
 SCHEMA_MATRIX = "chevloops/matrix/v1"
@@ -27,7 +25,6 @@ SCHEMA_PATH = "chevloops/path/v1"
 SCHEMA_WORD = "chevloops/word/v1"
 SCHEMA_SIMPLEX_POLY = "chevloops/simplex-poly/v1"
 SCHEMA_SIMPLEX_MATRIX = "chevloops/simplex-matrix/v1"
-SCHEMA_PRESENTATION = "chevloops/presentation/v1"
 
 
 # ---------------------------------------------------------------------------
@@ -204,23 +201,13 @@ def check_document_work(docs, rounds: int = 1):
                          f"as {rounds} x the sum of n^3)")
 
 
-def _entry_grid(doc: dict) -> tuple[int, list]:
-    """The declared size and the row-major entries of a matrix document."""
-    n = _declared_size(doc)
-    entries = doc["entries"]
-    if not (isinstance(entries, list) and len(entries) == n
-            and all(isinstance(r, list) and len(r) == n for r in entries)):
-        raise ValueError("entry grid does not match declared size")
-    return n, [x for row in entries for x in row]
-
-
-# Most decimal digits an entry of a matrix document over Q may have once
-# its row is written over one common denominator, in that denominator and
-# in the entry's numerator.  The determinant check costs about the same as
-# integer Bareiss on those numerators: a dense 28x28 document of random
-# 64-digit integers, or of entries 1/ddd (row denominators of about 55
-# digits), is checked in about half a second, one of 1000-digit integers
-# in 32 s.
+# Most decimal digits an entry of a matrix document over Q, or a
+# coefficient of one over Q[...], may have once its row is written over
+# one common denominator, in that denominator and in the numerator.  The
+# determinant check costs about the same as integer Bareiss on those
+# numerators: a dense 28x28 document of random 64-digit integers, or of
+# entries 1/ddd (row denominators of about 55 digits), is checked in about
+# half a second, one of 1000-digit integers in 32 s.
 MAX_ENTRY_DIGITS = 64
 
 
@@ -237,15 +224,34 @@ def _fits_entry_digits(row: list[Fraction]) -> bool:
                for x in row)
 
 
-def matrix_from_json(doc: dict) -> GroupMatrix:
-    ring = parse_ring(doc["ring"])
-    n, flat = _entry_grid(doc)
-    flat = _scalars_from_json(ring, flat)
-    rows = [flat[k * n:(k + 1) * n] for k in range(n)]
-    if ring is QQ and not all(map(_fits_entry_digits, rows)):
+def _entry_rows(ring, doc: dict) -> list[list]:
+    """The rows of a matrix or simplex-matrix document over ``ring``; over
+    Q, or over Q[...] with every coefficient of a row counted, refused
+    unless each row fits ``MAX_ENTRY_DIGITS``."""
+    n = _declared_size(doc)
+    entries = doc["entries"]
+    if not (isinstance(entries, list) and len(entries) == n
+            and all(isinstance(r, list) and len(r) == n for r in entries)):
+        raise ValueError("entry grid does not match declared size")
+    flat = [x for row in entries for x in row]
+    if isinstance(ring, PolyRing):
+        terms = _bounded_terms(ring, flat)
+        coeffs = [list(t.values()) for t in terms] if ring.base is QQ else []
+        flat = [Poly(ring, t) for t in terms]
+    else:
+        flat = [scalar_from_json(ring, x) for x in flat]
+        coeffs = [[x] for x in flat] if ring is QQ else []
+    if coeffs and not all(_fits_entry_digits(
+            [c for cs in coeffs[k * n:(k + 1) * n] for c in cs])
+            for k in range(n)):
         raise ValueError(f"a row over its common denominator has more than "
                          f"{MAX_ENTRY_DIGITS} digits (MAX_ENTRY_DIGITS)")
-    return GroupMatrix(ring, rows)
+    return [flat[k * n:(k + 1) * n] for k in range(n)]
+
+
+def matrix_from_json(doc: dict) -> GroupMatrix:
+    ring = parse_ring(doc["ring"])
+    return GroupMatrix(ring, _entry_rows(ring, doc))
 
 
 def path_to_json(path: PathMatrix) -> dict:
@@ -310,8 +316,13 @@ def _simplex_level(doc: dict) -> int:
 
 
 def _bounded_polys(ring: PolyRing, docs: list) -> list:
-    """The encoded polynomials of one document, refused before any is
-    built when their term bound exceeds ``MAX_SIMPLEX_TERMS``."""
+    return [Poly(ring, t) for t in _bounded_terms(ring, docs)]
+
+
+def _bounded_terms(ring: PolyRing, docs: list) -> list[dict]:
+    """The terms of the encoded polynomials of one document, refused
+    before any polynomial is built when their term bound exceeds
+    ``MAX_SIMPLEX_TERMS``."""
     nvars = len(ring.variables)
     terms = [_terms_from_json(ring, d) for d in docs]
     bound = 0
@@ -325,7 +336,7 @@ def _bounded_polys(ring: PolyRing, docs: list) -> list:
                     f"(MAX_SIMPLEX_TERMS, counted as C(deg + v, v) per "
                     f"polynomial in v variables) with v = {nvars}, "
                     f"degree {deg}")
-    return [Poly(ring, t) for t in terms]
+    return terms
 
 
 def simplex_poly_to_json(sp: SimplexPoly) -> dict:
@@ -360,33 +371,6 @@ def simplex_matrix_to_json(sm: SimplexMatrix) -> dict:
 def simplex_matrix_from_json(doc: dict) -> SimplexMatrix:
     level = _simplex_level(doc)
     ring = simplex_ring(parse_ring(doc["field"]), level)
-    n, flat = _entry_grid(doc)
-    flat = _bounded_polys(ring, flat)
-    return SimplexMatrix(ring.base, level, GroupMatrix(
-        ring, [flat[k * n:(k + 1) * n] for k in range(n)]))
+    return SimplexMatrix(ring.base, level,
+                         GroupMatrix(ring, _entry_rows(ring, doc)))
 
-
-# ---------------------------------------------------------------------------
-# presentations
-# ---------------------------------------------------------------------------
-
-def presentation_to_json(p: AbelianGroupPresentation) -> dict:
-    rel = p.relations
-    return {
-        "schema": SCHEMA_PRESENTATION,
-        "generators": list(p.generators),
-        "relations": {
-            "nrows": rel.nrows,
-            "ncols": rel.ncols,
-            "entries": sorted([i, j, v] for (i, j), v in rel.entries.items()),
-        },
-        "snf_diagonal": list(p.snf_diagonal),
-        "invariant_factors": list(p.invariant_factors),
-        "free_rank": p.free_rank,
-        "metadata": dict(p.metadata),
-    }
-
-
-def sparse_matrix_from_json(doc: dict) -> SparseIntMatrix:
-    return SparseIntMatrix(doc["nrows"], doc["ncols"],
-                           [(i, j, v) for i, j, v in doc["entries"]])

@@ -7,13 +7,14 @@ without a unit appears, and are kept fully reduced (Gauss-Jordan) from
 then on, so every later column reduces in one pass.
 
 ``smith_normal_form`` splits the +-1 pivots off as unit invariant factors
-and sends only the residual through a fraction-free Markowitz loop:
-pivots of minimal absolute value (ties broken towards low fill), rows and
-columns cleared with integer transvections, and the diagonal fixed up into
-a divisibility chain by gcd/lcm exchanges.  A modular consistency check
-recomputes the rank over the two smallest primes above 10^6 and every
-invariant factor, eliminating the vectors of the longer side so that the
-stop at full rank can fire, and refuses to return on a mismatch.
+and sends only the residual through a plain least-entry elimination
+(``_residual_diagonal``), whose diagonal is fixed up into a divisibility
+chain by gcd/lcm exchanges.  On the K2 presentations of
+``chevloops.oracles`` the residual is empty; the tests send it small
+matrices.  A modular consistency check recomputes the rank over the two
+smallest primes above 10^6 that divide no invariant factor, eliminating
+the vectors of the longer side so that the stop at full rank can fire,
+and refuses to return on a mismatch.
 
 ``_local_smith`` computes the Smith form over Z/p^k, eliminating the
 non-unit remainders by minimal p-valuation.  With k = 1 it gives the ranks
@@ -258,81 +259,41 @@ def _next_prime(n: int) -> int:
     return n
 
 
-def _markowitz_diagonal(entries: Iterable[tuple[int, int, int]]
-                        ) -> list[int]:
-    """A diagonal of the integer matrix with these (row, col, value)
-    entries that is equivalent to it, not yet a divisibility chain."""
-    rows: dict[int, dict[int, int]] = {}
-    cols: dict[int, set[int]] = {}
-    for i, j, v in entries:
-        rows.setdefault(i, {})[j] = v
-        cols.setdefault(j, set()).add(i)
+def _residual_diagonal(cols: list[dict[int, int]]) -> list[int]:
+    """A diagonal equivalent to the integer matrix with sparse columns
+    ``cols``, not yet a divisibility chain; ``cols`` is consumed.
 
-    def add_row(dst: int, src: int, c: int):
-        rd = rows.setdefault(dst, {})
-        for j, v in rows[src].items():
-            nv = rd.get(j, 0) + c * v
-            if nv:
-                if j not in rd:
-                    cols.setdefault(j, set()).add(dst)
-                rd[j] = nv
-            elif j in rd:
-                del rd[j]
-                cols[j].discard(dst)
-                if not cols[j]:
-                    del cols[j]
-        if not rd:
-            del rows[dst]
-
-    def add_col(dst: int, src: int, c: int):
-        for i in list(cols.get(src, ())):
-            v = rows[i][src]
-            ri = rows[i]
-            nv = ri.get(dst, 0) + c * v
-            if nv:
-                if dst not in ri:
-                    cols.setdefault(dst, set()).add(i)
-                ri[dst] = nv
-            elif dst in ri:
-                del ri[dst]
-                cols[dst].discard(i)
-                if not cols[dst]:
-                    del cols[dst]
-
+    The pivot is an entry of least absolute value.  Column operations clear
+    its row; a nonzero remainder left there is smaller than the pivot and
+    becomes the next one.  Once the row is zero off the pivot, row
+    operations change only the pivot column, which is reduced in place, and
+    a nonzero remainder there becomes the next pivot in the same way.  A
+    pivot alone in its row and column is a diagonal entry.
+    """
+    cols = [c for c in cols if c]
     diag: list[int] = []
-    while rows:
-        # pivot: minimal |value|, then lowest fill (Markowitz), then position
-        best_key = None
-        pi = pj = -1
-        for i, r in rows.items():
-            li = len(r) - 1
-            for j, v in r.items():
-                key = (abs(v), li * (len(cols[j]) - 1), i, j)
-                if best_key is None or key < best_key:
-                    best_key = key
-                    pi, pj = i, j
-            if best_key is not None and best_key[:2] == (1, 0):
-                break
+    while cols:
+        _, ci, r = min((abs(v), ci, r) for ci, c in enumerate(cols)
+                       for r, v in c.items())
+        pc = cols[ci]
         while True:
-            v = rows[pi][pj]
-            for i in list(cols[pj]):
-                if i != pi:
-                    add_row(i, pi, -(rows[i][pj] // v))
-            for j in list(rows[pi]):
-                if j != pj:
-                    add_col(j, pj, -(rows[pi][j] // v))
-            if len(rows[pi]) == 1 and len(cols[pj]) == 1:
+            v = pc[r]
+            for c in cols:
+                if c is not pc and r in c:
+                    _sub(c, c[r] // v, pc, 0)
+            left = [(abs(c[r]), k) for k, c in enumerate(cols) if r in c]
+            if len(left) > 1:
+                pc = cols[min(left)[1]]
+                continue
+            for i in [i for i in pc if i != r]:
+                pc[i] %= v
+                if not pc[i]:
+                    del pc[i]
+            if len(pc) == 1:
                 break
-            # nonzero remainders survive: migrate the pivot to the smallest
-            # of them; its absolute value strictly decreased, so this ends
-            cand = [(abs(rows[i][pj]), i, pj) for i in cols[pj] if i != pi]
-            cand += [(abs(rows[pi][j]), pi, j) for j in rows[pi] if j != pj]
-            cand.append((abs(rows[pi][pj]), pi, pj))
-            _, pi, pj = min(cand)
-        diag.append(abs(rows[pi][pj]))
-        del rows[pi]
-        del cols[pj]
-
+            r = min((i for i in pc if i != r), key=lambda i: abs(pc[i]))
+        diag.append(abs(v))
+        cols = [c for c in cols if c and c is not pc]
     return diag
 
 
@@ -342,10 +303,10 @@ def smith_normal_form(matrix: SparseIntMatrix) -> SNFResult:
 
     The columns first go through ``_unit_pivots`` over Z: a +-1 pivot is
     a unimodular step, so the Smith form is 1s for the pivots plus that
-    of the residual, which alone goes through the Markowitz loop.  The
-    rank cross-check mod two primes then eliminates the rows or the
-    columns, whichever are more, and raises ``RuntimeError`` on a
-    mismatch.
+    of the residual, which alone goes through ``_residual_diagonal``.
+    The rank cross-check mod two primes that divide no invariant factor
+    then eliminates the rows or the columns, whichever are more, and
+    raises ``RuntimeError`` on a mismatch.
     """
     cols: dict[int, dict[int, int]] = {}
     rows: dict[int, dict[int, int]] = {}
@@ -354,16 +315,18 @@ def smith_normal_form(matrix: SparseIntMatrix) -> SNFResult:
         rows.setdefault(i, {})[j] = v
     full = min(matrix.nrows, matrix.ncols)
     units, residual = _unit_pivots(list(cols.values()), 0, 0, full)
-    factors = [1] * units + _divisibility_chain(_markowitz_diagonal(
-        (i, j, v) for j, c in enumerate(residual) for i, v in c.items()))
+    factors = [1] * units + _divisibility_chain(_residual_diagonal(residual))
     free_rank = matrix.ncols - len(factors)
 
     # modular consistency: the rank over F_p equals the number of nonzero
-    # invariant factors whenever p exceeds all of them.  On the longer
+    # invariant factors whenever p divides none of them.  On the longer
     # side there are more vectors than full rank, so the early stop can fire.
-    first = _next_prime(max(factors + [10 ** 6]))
     vectors = list((rows if matrix.nrows > matrix.ncols else cols).values())
-    for p in (first, _next_prime(first)):
+    p = 10 ** 6
+    for _ in range(2):
+        p = _next_prime(p)
+        while any(d % p == 0 for d in factors):
+            p = _next_prime(p)
         if _local_smith(vectors, p, 1, full)[0] != len(factors):
             raise RuntimeError(
                 f"Smith normal form failed its mod-{p} rank cross-check")

@@ -18,13 +18,14 @@ import contextlib
 import io
 import json
 import pathlib
+import random
 import time
 
 import pytest
 
 from chevloops import QQ, symbol_word
 from chevloops.cli import main
-from chevloops.serialize import SCHEMA_WORD, word_to_json
+from chevloops.serialize import MAX_DOCUMENT_SIZE, SCHEMA_WORD, word_to_json
 
 hypothesis = pytest.importorskip("hypothesis")
 st = hypothesis.strategies
@@ -209,3 +210,26 @@ def test_deeply_nested_document_text(tmp_path):
         assert (code, json.loads(out)) == (
             1, {"error": "invalid JSON: nested too deeply"})
         assert seconds < SECONDS
+
+
+_DIGIT_DOCS = {
+    "factor": {"schema": "chevloops/matrix/v1", "ring": "poly:Q:T"},
+    "simplicial-face": {"schema": "chevloops/simplex-matrix/v1", "level": 1,
+                        "field": "Q"},
+}
+
+
+@pytest.mark.parametrize("command", sorted(_DIGIT_DOCS))
+def test_polynomial_coefficients_over_the_digit_limit_are_exit_2(tmp_path,
+                                                                 command):
+    # a dense 28x28 poly:Q:T document of random constant 1000-digit
+    # integers took 33.5 s to answer "determinant is not 1"
+    n, rng = MAX_DOCUMENT_SIZE, random.Random("digits")
+    doc = dict(_DIGIT_DOCS[command], n=n, entries=[
+        [[[[0], str(rng.randrange(10 ** 999, 10 ** 1000))]]
+         for _ in range(n)] for _ in range(n)])
+    argv = [command] + (["--i", "0"] if command == "simplicial-face" else [])
+    code, out, seconds = _call(tmp_path, argv, {"--in": doc})
+    assert code == 2
+    assert "MAX_ENTRY_DIGITS" in json.loads(out)["error"]
+    assert seconds < SECONDS

@@ -11,6 +11,7 @@ integer Smith forms share their unit-pivot elimination, which
 ``test_snf_differential.py`` checks against the minors of small matrices.
 """
 
+import functools
 import time
 
 import pytest
@@ -80,7 +81,10 @@ def _product_table(gens):
     return elems, [[index[a * b] for a in elems] for b in elems]
 
 
+@functools.lru_cache(maxsize=1)
 def _complex(gens):
+    """The order and the bar complex of the group, from matrix products;
+    ``gens`` is a tuple, and the last group's complex is kept for reuse."""
     elems, right = _product_table(gens)
     d2_cols, d3_cols, _ = _bar_complex(right, list(range(len(elems))))
     return len(elems), d2_cols, d3_cols
@@ -89,7 +93,7 @@ def _complex(gens):
 def _reference_schur(gens):
     """The whole-group oracle: the bar complex of G from matrix products,
     d2 . d3 = 0, and the certificates of ``_h2_torsion`` at every p | |G|."""
-    order, d2_cols, d3_cols = _complex(gens)
+    order, d2_cols, d3_cols = _complex(tuple(gens))
     assert order <= oracles.MAX_BAR_ORDER
     _check_cycles(d2_cols, d3_cols, "d2 . d3 != 0")
     return order, _h2_torsion(d2_cols, d3_cols, order)
@@ -106,14 +110,31 @@ def test_modular_oracle_matches_integer_smith_form(label, gens, order, h2):
     pres = schur_multiplier(gens)
     assert pres.metadata["group_order"] == order
     assert (pres.invariant_factors, pres.free_rank) == (h2, 0)
+    assert smith_normal_form(pres.relations) == (pres.snf_diagonal,
+                                                 pres.free_rank)
 
-    _, d2_cols, d3_cols = _complex(gens)
+    _, d2_cols, d3_cols = _complex(tuple(gens))
     m = order - 1
     snf2 = smith_normal_form(_matrix(m, d2_cols))
     snf3 = smith_normal_form(_matrix(m * m, d3_cols))
     assert snf3.torsion == pres.invariant_factors
     assert m * m - snf2.rank - snf3.rank == pres.free_rank
     assert _reference_schur(gens) == (order, h2)
+
+
+def test_distinct_factors_come_back_as_their_own_smith_form():
+    # Z2 x Z6 x Z6, too large for the whole-group reference: its Sylow
+    # subgroups Z2^3 and Z3 x Z3 give Z/2^3 and Z/3, merged to distinct
+    # factors; the diagonal presentation carries them as its Smith form
+    f7 = GF(7)
+    w = _element_of_order(f7, 6)
+    pres = schur_multiplier([_diag(f7, [w, w.inverse(), 1, 1]),
+                             _diag(f7, [1, 1, w, w.inverse()]),
+                             _diag(f7, [1, 6, 6, 1])])
+    assert pres.metadata["group_order"] == 72
+    assert (pres.invariant_factors, pres.free_rank) == ([2, 2, 6], 0)
+    assert smith_normal_form(pres.relations) == (pres.snf_diagonal,
+                                                 pres.free_rank)
 
 
 def test_p_part_merge_is_a_divisibility_chain():
@@ -134,7 +155,7 @@ def test_local_smith_reads_valuations_and_stops_early():
 
 
 def _klein():
-    order, d2_cols, d3_cols = _complex(GROUPS[12][1])
+    order, d2_cols, d3_cols = _complex(tuple(GROUPS[12][1]))
     assert order == 4
     return order, d2_cols, d3_cols
 

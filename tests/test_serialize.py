@@ -6,8 +6,7 @@ from fractions import Fraction
 import pytest
 
 from chevloops import (GF, PolyRing, QQ, SimplexPoly, SteinbergWord, c_loop,
-                       elem, milnor_k2_finite_field, simplex_ring,
-                       symbol_word)
+                       elem, simplex_ring, symbol_word)
 from chevloops import serialize as ser
 
 
@@ -105,15 +104,3 @@ def test_simplex_matrix_roundtrip():
     doc = ser.simplex_matrix_to_json(sm)
     assert ser.simplex_matrix_from_json(doc) == sm
 
-
-def test_presentation_document():
-    pres = milnor_k2_finite_field(3)
-    doc = ser.presentation_to_json(pres)
-    assert doc["schema"] == ser.SCHEMA_PRESENTATION
-    assert doc["invariant_factors"] == []
-    assert doc["free_rank"] == 0
-    assert doc["metadata"]["q"] == 3
-    rel = ser.sparse_matrix_from_json(doc["relations"])
-    assert rel == pres.relations
-    # documents are canonical: dumping twice gives identical bytes
-    assert json.dumps(doc, sort_keys=True) == json.dumps(doc, sort_keys=True)

@@ -77,6 +77,12 @@ def test_awkward_pivots_without_unit_entries():
     m = SparseIntMatrix.from_rows([[4, 6], [2, 8]])
     res = smith_normal_form(m)
     assert res.invariant_factors == [2, 10]
+    # the rank cross-check takes the first primes above 10^6 that divide no
+    # factor: it skips 1000003 for the first, and searches no prime above
+    # the second, which is past MAX_PRIME_TEST
+    for d in (2 * 1_000_003, 10 ** 25):
+        res = smith_normal_form(SparseIntMatrix.from_rows([[d]]))
+        assert (res.invariant_factors, res.free_rank) == ([d], 0)
 
 
 def test_pivot_migration_without_unit_entries():

@@ -2,9 +2,10 @@
 D_k is the gcd of the k x k minors.
 
 ``smith_normal_form`` splits off +-1 pivots first and sends only the
-residual through the Markowitz loop; ``_local_smith`` switches to fully
-reduced pivots at the first non-unit remainder.  Both, and the Markowitz
-loop on the whole matrix, must give the reference invariant factors.
+residual through ``_residual_diagonal``; ``_local_smith`` switches to
+fully reduced pivots at the first non-unit remainder.  Both, and
+``_residual_diagonal`` on the whole matrix, must give the reference
+invariant factors.
 """
 
 from itertools import combinations
@@ -16,7 +17,7 @@ from hypothesis import strategies as st
 
 from chevloops import SparseIntMatrix, smith_normal_form
 from chevloops.snf import (_divisibility_chain, _local_smith,
-                           _markowitz_diagonal)
+                           _residual_diagonal)
 
 
 def _det(rows):
@@ -113,10 +114,9 @@ def test_smith_normal_form_matches_minors(kind, data):
 @pytest.mark.parametrize("kind", sorted(ENTRIES))
 @settings(max_examples=60, deadline=None)
 @given(data=st.data())
-def test_markowitz_loop_alone_matches_minors(kind, data):
-    rows, _ = data.draw(matrices(ENTRIES[kind]))
-    diag = _markowitz_diagonal((i, j, v) for i, row in enumerate(rows)
-                               for j, v in enumerate(row) if v)
+def test_residual_elimination_alone_matches_minors(kind, data):
+    rows, order = data.draw(matrices(ENTRIES[kind]))
+    diag = _residual_diagonal(_columns(rows, order))
     assert _divisibility_chain(diag) == _reference_factors(rows)
 
 
