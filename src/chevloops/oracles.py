@@ -551,6 +551,5 @@ def schur_multiplier(gens: list[GroupMatrix],
         "complex": "normalized bar of each Sylow subgroup, degrees 1..3",
         "note": "finite matrix group used as oracle-validation data only",
     }
-    # a divisibility chain on the diagonal is its own Smith form
     return AbelianGroupPresentation(labels, relations, SNFResult(torsion, 0),
                                     metadata=meta)

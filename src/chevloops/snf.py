@@ -270,9 +270,8 @@ def _residual_diagonal(cols: list[dict[int, int]]) -> list[int]:
     a nonzero remainder there becomes the next pivot in the same way.  A
     pivot alone in its row and column is a diagonal entry.
     """
-    cols = [c for c in cols if c]
     diag: list[int] = []
-    while cols:
+    while cols := [c for c in cols if c]:
         _, ci, r = min((abs(v), ci, r) for ci, c in enumerate(cols)
                        for r, v in c.items())
         pc = cols[ci]
@@ -293,7 +292,7 @@ def _residual_diagonal(cols: list[dict[int, int]]) -> list[int]:
                 break
             r = min((i for i in pc if i != r), key=lambda i: abs(pc[i]))
         diag.append(abs(v))
-        cols = [c for c in cols if c and c is not pc]
+        pc.clear()
     return diag
 
 
