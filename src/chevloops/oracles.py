@@ -10,10 +10,11 @@ subgroups P.  The p-part of H2(G) embeds in H2(P) by transfer, and equals
 the coinvariants of H2(P) under the normalizer when P is abelian (Brown,
 Cohomology of Groups, III.9-10; Swan, Illinois J. Math. 4, 1960).  H2(P)
 is ker d2 / im d3 of the normalized bar complex of P with integer
-coefficients, read off modular certificates rather than an integer Smith
-form of d3: ranks at one prime not dividing |P| show it is finite, and
-since |P| annihilates it (Brown, III.10.2) it comes from a local Smith
-form of d3 mod a power of p (Dumas, Saunders and Villard, JSC 32, 2001).
+coefficients, d3 only on the cells [s|h|k] with s in a generating set of P,
+which span im d3 (Brown, I.5).  It is read off modular certificates, not an
+integer Smith form of d3: ranks at one prime not dividing |P| show it is
+finite, and since |P| annihilates it (Brown, III.10.2) it comes from a local
+Smith form of d3 mod a power of p (Dumas, Saunders and Villard, JSC 32, 2001).
 That answer is a divisibility chain, so its diagonal presentation carries
 itself as Smith form; only the K2 presentation calls ``smith_normal_form``.
 Finite-field groups serve as validation data only.
@@ -23,7 +24,6 @@ from __future__ import annotations
 
 import functools
 import math
-import random
 from fractions import Fraction
 
 from .chevalley import GroupMatrix
@@ -278,7 +278,7 @@ def _cayley_table(act, parent) -> list[list[int]]:
     return right
 
 
-# d3 of a Sylow subgroup P has (|P| - 1)^3 columns
+# A refusal bound on the (|P| - 1)^3 columns of the full d3 of a Sylow P
 MAX_BAR_COLUMNS = 20_000
 MAX_BAR_ORDER = 1 + _iroot(MAX_BAR_COLUMNS, 3)   # 28
 # Largest group the Schur oracle enumerates: SL2(F9) has 720 elements,
@@ -343,9 +343,24 @@ def _column(terms) -> dict[int, int]:
     return col
 
 
+def _generators(right, sub: list[int]) -> list[int]:
+    """A generating set S of ``sub``, greedily in its order: an element
+    joins when S does not yet generate it, at least doubling <S>."""
+    gens: list[int] = []
+    for x in sub:
+        if x not in _closure(right, gens):
+            gens.append(x)
+    return gens
+
+
 def _bar_complex(right, sub: list[int]):
     """Columns of d2 and d3 of the normalized bar complex of the subgroup
-    ``sub`` of the group with Cayley table ``right`` (identity 0).
+    ``sub`` of the group with Cayley table ``right`` (identity 0), d3 only
+    on the cells [s|h|k] with s in S = ``_generators(right, sub)``.  These
+    span im d3 over Z: for b, h, k in the subgroup, d3 d4 [s|b|h|k] = 0 is
+        d3[sb|h|k] = d3[b|h|k] + d3[s|bh|k] - d3[s|b|hk] + d3[s|b|h],
+    and induction on the first slot as a word in S reaches every cell (a
+    cell with e in it is 0, and the identity holds there too).
 
     Returns ``(d2_cols, d3_cols, pair)``: sparse dicts over the bases [g]
     and [g|h] of the non-identity elements of ``sub``, in the order
@@ -373,12 +388,15 @@ def _bar_complex(right, sub: list[int]):
     # d3[g|h|k] = [h|k] - [gh|k] + [g|hk] - [g|h], dropping tuples with e
     d3_cols = [_column(((pair(h, k), 1), (pair(right[h][g], k), -1),
                         (pair(g, right[k][h]), 1), (pair(g, h), -1)))
-               for g in nontriv for h in nontriv for k in nontriv]
+               for g in _generators(right, sub)
+               for h in nontriv for k in nontriv]
     return d2_cols, d3_cols, pair
 
 
 def _check_cycles(d2_cols, cols, message: str):
-    """Raise ``RuntimeError(message)`` unless d2 kills every column."""
+    """Raise ``RuntimeError(message)`` unless d2 kills every column.  On d3,
+    d2 d3[s|h|k] = [(sh)k] - [s(hk)]: associativity at s in S, hence on P,
+    since the a with a(hk) = (ah)k for all h, k are closed under products."""
     for coldict in cols:
         acc: dict[int, int] = {}
         for r, v in coldict.items():
@@ -406,25 +424,6 @@ def _conjugation_columns(right, inv, sub: list[int], pair):
     return out
 
 
-def _elimination_order(cols: list[dict[int, int]]) -> list[dict[int, int]]:
-    """Distinct nonzero columns up to sign, shuffled with a fixed seed and
-    then stably sorted by length: short columns first keeps fill low."""
-    seen = set()
-    out = []
-    for col in cols:
-        if not col:
-            continue
-        key = tuple(sorted(col.items()))
-        if key[0][1] < 0:
-            key = tuple((r, -v) for r, v in key)
-        if key not in seen:
-            seen.add(key)
-            out.append(col)
-    random.Random(0x5EED).shuffle(out)
-    out.sort(key=len)
-    return out
-
-
 def _h2_torsion(d2_cols, d3_cols, order: int) -> list[int]:
     """Invariant factors of H_2 = ker d2 / im d3, from modular certificates.
 
@@ -439,8 +438,9 @@ def _h2_torsion(d2_cols, d3_cols, order: int) -> list[int]:
     """
     m = order - 1
     stop = m * m - m
-    d2 = _elimination_order(d2_cols)
-    d3 = _elimination_order(d3_cols)
+    # nonzero columns, short ones first (a stable sort): that keeps fill low
+    d2, d3 = (sorted(filter(None, cols), key=len)
+              for cols in (d2_cols, d3_cols))
     ell = _next_prime(10 ** 6)
     while order % ell == 0:
         ell = _next_prime(ell)

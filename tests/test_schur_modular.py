@@ -6,9 +6,12 @@ ranks at one large prime and a local Smith form of d3 of P, plus the
 conjugation columns of the normalizer when P is abelian.  Here the bar
 complex of the whole group, built from matrix products, goes through
 the same certificates (``_reference_schur``) and through
-``smith_normal_form`` over Z, and all must agree.  The modular and
-integer Smith forms share their unit-pivot elimination, which
-``test_snf_differential.py`` checks against the minors of small matrices.
+``smith_normal_form`` over Z, and all must agree.  That reference builds
+d3 on every cell [g|h|k] (``_full_bar_complex``), while the oracle builds
+it only on the cells whose first slot is a generator; the two are checked
+to have the same Smith form.  The modular and integer Smith forms share
+their unit-pivot elimination, which ``test_snf_differential.py`` checks
+against the minors of small matrices.
 """
 
 import functools
@@ -20,8 +23,9 @@ import chevloops.oracles as oracles
 from chevloops import GF, GroupMatrix, SparseIntMatrix, elem, smith_normal_form
 from chevloops.acceptance import _cyclic_generator
 from chevloops.oracles import (_bar_complex, _cayley_table, _check_cycles,
-                               _enumerate_group, _h2_torsion, _merge_p_parts,
-                               _p_part, _sylow, schur_multiplier)
+                               _closure, _enumerate_group, _generators,
+                               _h2_torsion, _merge_p_parts, _p_part, _sylow,
+                               schur_multiplier)
 from chevloops.rings import is_prime
 from chevloops.snf import _local_smith
 
@@ -81,13 +85,44 @@ def _product_table(gens):
     return elems, [[index[a * b] for a in elems] for b in elems]
 
 
+def _full_bar_complex(right):
+    """d2 and d3 of the normalized bar complex of the group with Cayley
+    table ``right`` (identity 0), d3 on all (|G| - 1)^3 cells [g|h|k] of
+    non-identity elements, the last slot fastest.  [g|h] is row
+    (g - 1) (|G| - 1) + h - 1, as in ``_bar_complex`` of the whole group."""
+    m = len(right) - 1
+    nontriv = range(1, m + 1)
+
+    def cell(*xs):
+        if 0 in xs:
+            return None
+        pos = 0
+        for x in xs:
+            pos = pos * m + x - 1
+        return pos
+
+    def column(*terms):
+        col = {}
+        for r, v in terms:
+            if r is not None:
+                col[r] = col.get(r, 0) + v
+        return {r: v for r, v in col.items() if v}
+
+    d2_cols = [column((cell(h), 1), (cell(right[h][g]), -1), (cell(g), 1))
+               for g in nontriv for h in nontriv]
+    d3_cols = [column((cell(h, k), 1), (cell(right[h][g], k), -1),
+                      (cell(g, right[k][h]), 1), (cell(g, h), -1))
+               for g in nontriv for h in nontriv for k in nontriv]
+    return d2_cols, d3_cols
+
+
 @functools.lru_cache(maxsize=1)
 def _complex(gens):
-    """The order and the bar complex of the group, from matrix products;
-    ``gens`` is a tuple, and the last group's complex is kept for reuse."""
+    """The order and the full bar complex of the group, from matrix
+    products; ``gens`` is a tuple, and the last group's complex is kept for
+    reuse."""
     elems, right = _product_table(gens)
-    d2_cols, d3_cols, _ = _bar_complex(right, list(range(len(elems))))
-    return len(elems), d2_cols, d3_cols
+    return (len(elems),) + _full_bar_complex(right)
 
 
 def _reference_schur(gens):
@@ -230,6 +265,40 @@ def _cyclic(k):
              if is_prime(q) and (q - 1) % k == 0)
     z = _element_of_order(GF(q), k)
     return [_diag(GF(q), [z, z.inverse()])]
+
+
+GENERATOR_FIRST = [(label, gens) for label, gens, _, _ in GROUPS] + [
+    (f"C{k}", _cyclic(k)) for k in range(13, 17)]
+
+
+@pytest.mark.parametrize("label,gens", GENERATOR_FIRST,
+                         ids=[g[0] for g in GENERATOR_FIRST])
+def test_generator_first_d3_has_the_smith_form_of_the_full_d3(label, gens):
+    elems, right = _product_table(gens)
+    m = len(elems) - 1
+    full_d2, full_d3 = _full_bar_complex(right)
+    d2_cols, d3_cols, _ = _bar_complex(right, list(range(len(elems))))
+    firsts = _generators(right, list(range(len(elems))))
+    assert d2_cols == full_d2
+    assert d3_cols == [full_d3[(s - 1) * m * m + j]
+                       for s in firsts for j in range(m * m)]
+    assert 2 ** len(firsts) <= len(elems)
+    assert sorted(_closure(right, firsts)) == list(range(len(elems)))
+    snf, full = (smith_normal_form(_matrix(m * m, cols))
+                 for cols in (d3_cols, full_d3))
+    assert (snf.rank, snf.torsion) == (full.rank, full.torsion)
+
+
+# C1 and C2 are left out: their d3 needs rank m^2 - m = 0
+@pytest.mark.parametrize("label,gens", GENERATOR_FIRST[2:],
+                         ids=[g[0] for g in GENERATOR_FIRST[2:]])
+def test_non_generating_first_slots_fail_the_rank_check(label, gens,
+                                                        monkeypatch):
+    # dropping the last first-slot generator leaves a proper subgroup
+    monkeypatch.setattr(oracles, "_generators",
+                        lambda right, sub: _generators(right, sub)[:-1])
+    with pytest.raises(RuntimeError, match="rank check"):
+        schur_multiplier(gens)
 
 
 def test_order_30_is_answered_from_its_sylow_subgroups():
