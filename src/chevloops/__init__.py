@@ -1,7 +1,7 @@
 """Exact symbol loops in SL_n over polynomial rings, their Steinberg-word
 translations, and independent desk-scale oracles for K2 and H2."""
 
-from .rings import GF, FqElement, Poly, PolyRing, QQ, poly_divmod
+from .rings import GF, FqElement, Poly, PolyRing, QQ, RingMap, poly_divmod
 from .chevalley import (GroupMatrix, check_root, commutator, elem,
                         eval_matrix, h_elem, negate_root,
                         product_of_elementaries, w_elem)
@@ -20,7 +20,7 @@ from .oracles import (AbelianGroupPresentation, milnor_k2_finite_field,
 __version__ = "0.1.0"
 
 __all__ = [
-    "QQ", "GF", "FqElement", "Poly", "PolyRing", "poly_divmod",
+    "QQ", "GF", "FqElement", "Poly", "PolyRing", "RingMap", "poly_divmod",
     "GroupMatrix", "check_root", "negate_root", "elem", "w_elem", "h_elem",
     "eval_matrix", "product_of_elementaries", "commutator",
     "PathMatrix", "x_loop", "w_loop", "h_loop", "c_loop", "sl2_closed_form",

@@ -9,9 +9,9 @@ little-endian coefficient tuples: ints mod p over F_p, integer numerators
 over one shared denominator over Q, and field elements over F_{p^e};
 ``Poly.addmul`` fuses a + x * f on that form.  Polynomials in zero or
 several variables map exponent vectors to nonzero coefficients.  Every
-map between polynomial rings is ``Poly.substitute``, one loop over the
-monomials of either form; ``Poly.evaluate`` reads coefficients directly
-only at T = 0 and T = 1.
+ring map is a ``RingMap`` (values and monomial-image memo) that
+``Poly.substitute`` applies in one loop over the monomials of either form;
+``Poly.evaluate`` reads coefficients directly only at T = 0 and T = 1.
 """
 
 from __future__ import annotations
@@ -811,9 +811,9 @@ class Poly:
                 return self._at_endpoint(end)
         keep = tuple(v for v in vs if v not in assignment)
         target = PolyRing(base, keep)
-        image = self.substitute(
-            {v: target.gen(v) if v in keep else base(assignment[v])
-             for v in vs}, target)
+        image = self.substitute(RingMap(ring, target, {
+            v: target.gen(v) if v in keep else base(assignment[v])
+            for v in vs}))
         return image if keep else image.constant_value()
 
     def _at_endpoint(self, one: bool):
@@ -825,53 +825,36 @@ class Poly:
             return self._scalar(sum(c, self.ring._zero_c))
         return self._scalar(c[0] if c else self.ring._zero_c)
 
-    def substitute(self, mapping: dict, target: PolyRing,
-                   memo: dict | None = None) -> "Poly":
-        """Map every variable to a value in ``target`` (scalars or Polys).
+    def substitute(self, phi: "RingMap") -> "Poly":
+        """The image under ``phi``, a RingMap from this polynomial's ring.
 
-        This is the one loop for every ring map, whichever form the source
-        is stored in: the image of each monomial of ``terms`` is built
-        once, then scaled by its coefficient and summed.  Values that are
-        single monomials with coefficient one (such as X_j -> X_{j+1})
-        shift exponent vectors, and only the other values get power
-        ladders.  ``memo`` maps source exponent vectors to their images
-        under this one mapping and target; it persists across calls and
-        is emptied whenever it would grow past ``SUBSTITUTE_MEMO_LIMIT``
-        entries.
+        The one loop for every map between polynomial rings, whichever form
+        the source is stored in: each monomial of ``terms`` takes its image
+        from ``phi.memo`` (built on a miss; the memo is emptied whenever it
+        would grow past ``SUBSTITUTE_MEMO_LIMIT`` entries), scaled by its
+        coefficient and summed.
         """
-        if target.base is not self.ring.base:
-            raise ValueError("substitution must preserve the coefficient field")
-        vals = []
-        for v in self.ring.variables:
-            if v not in mapping:
-                raise ValueError(f"no value for variable {v}")
-            vals.append(target(mapping[v]))
-        if memo is None:
-            memo = {}
-        terms = self.terms
-        image = None        # built on the first memo miss
-        images = []
-        for e in terms:
-            img = memo.get(e)
-            if img is None:
-                if image is None:
-                    image = _monomial_images(vals, target)
-                img = image(e)
-                if len(memo) >= SUBSTITUTE_MEMO_LIMIT:
-                    memo.clear()
-                memo[e] = img
-            images.append(img)
+        ring = self.ring
+        if phi.source is not ring and phi.source != ring:
+            raise ValueError(f"ring map from {phi.source!r}, not {ring!r}")
+        target = phi.target
+        memo = phi.memo
         if target._kind is not None:
             acc = target.zero
-            for img, c in zip(images, terms.values()):
-                acc = acc + img * c
+            for e, c in self.terms.items():
+                img = memo.get(e)
+                if img is None:
+                    img = phi._miss(e)
+                acc = acc.addmul(img, target(c))
             return acc
         out: dict = {}
         get = out.get
-        one = target.base.one
-        for img, c in zip(images, terms.values()):
-            for te, tc in img._c.items():
-                tc = c if tc is one else c * tc
+        for e, c in self.terms.items():
+            img = memo.get(e)
+            if img is None:
+                img = phi._miss(e)
+            for te, tc in img:
+                tc = c if tc is None else c * tc
                 s = get(te)
                 out[te] = tc if s is None else s + tc
         return _poly(target, {te: tc for te, tc in out.items() if tc})
@@ -912,13 +895,50 @@ def _poly(ring: PolyRing, c, d: int = 1) -> Poly:
     return f
 
 
-# Most monomial images one substitution memo keeps (see Poly.substitute).
+# Most monomial images one ring map memoizes (see Poly.substitute).
 SUBSTITUTE_MEMO_LIMIT = 1024
 
 
+class RingMap:
+    """The ring map ``source`` -> ``target`` that ``Poly.substitute``
+    applies: each source variable v goes to ``mapping[v]``, a scalar or a
+    Poly, coerced into ``target`` once, here.
+
+    ``memo`` maps source exponent vectors to ready-to-add images, built on
+    a miss: over a term-dict target a tuple of (exponent vector,
+    coefficient) pairs, the coefficient None where it is the base field's
+    one; over a dense target the image Poly.
+    """
+
+    __slots__ = ("source", "target", "values", "memo", "_image")
+
+    def __init__(self, source: PolyRing, target: PolyRing, mapping: dict):
+        if target.base is not source.base:
+            raise ValueError("substitution must preserve the coefficient field")
+        for v in source.variables:
+            if v not in mapping:
+                raise ValueError(f"no value for variable {v}")
+        self.source = source
+        self.target = target
+        self.values = [target(mapping[v]) for v in source.variables]
+        self.memo = {}
+        self._image = None
+
+    def _miss(self, e):
+        """Build, memoize and return the image of the monomial ``e``."""
+        if self._image is None:
+            self._image = _monomial_images(self.values, self.target)
+        memo = self.memo
+        if len(memo) >= SUBSTITUTE_MEMO_LIMIT:
+            memo.clear()
+        img = memo[e] = self._image(e)
+        return img
+
+
 def _monomial_images(values: list, target: PolyRing):
-    """The function sending a source exponent vector to the image of that
-    monomial when source variable k takes ``values[k]`` in ``target``.
+    """The function sending a source exponent vector to the memo image (see
+    ``RingMap``) of that monomial when source variable k takes
+    ``values[k]`` in ``target``.
 
     Over a term-dict target a value that is one monomial with coefficient
     one adds a multiple of its exponent vector; every other value (and
@@ -938,7 +958,7 @@ def _monomial_images(values: list, target: PolyRing):
         ladders.append((k, [target.one, val]))
     width = len(target.variables)
 
-    def image(e) -> Poly:
+    def image(e):
         img = None
         for k, ladder in ladders:
             n = e[k]
@@ -948,7 +968,7 @@ def _monomial_images(values: list, target: PolyRing):
                 img = ladder[n] if img is None else img * ladder[n]
         if img is None:
             img = target.one
-        if not shifts:
+        if not multi:
             return img
         s = [0] * width
         for k, moves in shifts:
@@ -956,10 +976,9 @@ def _monomial_images(values: list, target: PolyRing):
             if n:
                 for j, a in moves:
                     s[j] += n * a
-        if not any(s):
-            return img
-        return _poly(target, {tuple([x + y for x, y in zip(te, s)]): tc
-                              for te, tc in img._c.items()})
+        return tuple([(tuple([x + y for x, y in zip(te, s)]),
+                       None if tc == one else tc)
+                      for te, tc in img._c.items()])
     return image
 
 

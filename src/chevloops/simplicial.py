@@ -20,7 +20,7 @@ from __future__ import annotations
 
 from .chevalley import GroupMatrix
 from .loops import PathMatrix, path_ring
-from .rings import PolyRing
+from .rings import PolyRing, RingMap
 
 _SIMPLEX_RINGS: dict = {}
 
@@ -93,13 +93,12 @@ class SimplexMatrix:
         return f"SimplexMatrix(level={self.level}, {self.matrix!r})"
 
 
-# (field, level, i, kind) -> (mapping, target ring, monomial-image memo)
+# (field, level, i, kind) -> that structure map's RingMap, with its memo
 _MAPPING_CACHE: dict = {}
 
 
-def _structure_map(field, level: int, i: int,
-                   kind: str) -> tuple[dict, PolyRing, dict]:
-    """The substitution of d_i (kind "d") or s_i (kind "s") at ``level``."""
+def _structure_map(field, level: int, i: int, kind: str) -> RingMap:
+    """The ring map of d_i (kind "d") or s_i (kind "s") at ``level``."""
     key = (field, level, i, kind)
     hit = _MAPPING_CACHE.get(key)
     if hit is not None:
@@ -120,25 +119,26 @@ def _structure_map(field, level: int, i: int,
         else:
             image = x[i] + x[i + 1]
         mapping[f"X{j}"] = image
-    hit = _MAPPING_CACHE[key] = (mapping, target, {})
+    hit = _MAPPING_CACHE[key] = RingMap(simplex_ring(field, level), target,
+                                        mapping)
     return hit
 
 
-def _substitute_rows(matrix: GroupMatrix, mapping: dict, target: PolyRing,
-                     memo: dict | None = None) -> GroupMatrix:
-    return GroupMatrix(target, [[e.substitute(mapping, target, memo)
-                                 for e in row] for row in matrix.rows])
+def _substitute_rows(matrix: GroupMatrix, phi: RingMap) -> GroupMatrix:
+    return GroupMatrix(phi.target, [[e.substitute(phi) for e in row]
+                                    for row in matrix.rows])
 
 
 def _apply(kind: str, i: int, x):
-    mapping, target, memo = _structure_map(x.field, x.level, i, kind)
-    level = len(target.variables)
+    phi = _structure_map(x.field, x.level, i, kind)
+    level = len(phi.target.variables)
     if isinstance(x, SimplexPoly):
-        return SimplexPoly(x.field, level,
-                           x.poly.substitute(mapping, target, memo))
+        # the image is already in the target simplex ring
+        out = object.__new__(SimplexPoly)
+        out.field, out.level, out.poly = x.field, level, x.poly.substitute(phi)
+        return out
     if isinstance(x, SimplexMatrix):
-        return SimplexMatrix(x.field, level,
-                             _substitute_rows(x.matrix, mapping, target, memo))
+        return SimplexMatrix(x.field, level, _substitute_rows(x.matrix, phi))
     noun = "faces" if kind == "d" else "degeneracies"
     raise ValueError(f"cannot take {noun} of {x!r}")
 
@@ -164,8 +164,8 @@ def degeneracy(i: int, x):
 def path_to_simplex(path: PathMatrix) -> SimplexMatrix:
     """Reinterpret a path over k[T] as a level-1 simplex via T = X1."""
     target = simplex_ring(path.base, 1)
-    return SimplexMatrix(path.base, 1, _substitute_rows(
-        path.matrix, {"T": target.gen("X1")}, target))
+    return SimplexMatrix(path.base, 1, _substitute_rows(path.matrix, RingMap(
+        path.matrix.ring, target, {"T": target.gen("X1")})))
 
 
 def simplex_to_path(sm: SimplexMatrix) -> PathMatrix:
@@ -173,7 +173,8 @@ def simplex_to_path(sm: SimplexMatrix) -> PathMatrix:
     if sm.level != 1:
         raise ValueError("only level-1 simplices are paths")
     ring = path_ring(sm.field)
-    return PathMatrix(_substitute_rows(sm.matrix, {"X1": ring.gen("T")}, ring))
+    return PathMatrix(_substitute_rows(sm.matrix, RingMap(
+        sm.matrix.ring, ring, {"X1": ring.gen("T")})))
 
 
 def moore_is_loop(g: SimplexMatrix) -> bool:

@@ -5,7 +5,7 @@ from fractions import Fraction
 
 import pytest
 
-from chevloops import GF, Poly, PolyRing, QQ, poly_divmod
+from chevloops import GF, Poly, PolyRing, QQ, RingMap, poly_divmod
 from chevloops.rings import MAX_PRIME_TEST, _prime_power, is_prime
 
 
@@ -239,9 +239,8 @@ def test_poly_substitute_preserves_products():
     x, y = src.gens()
     f = x ** 2 + 3 * y
     g = x * y - 1
-    mapping = {"X": t + 1, "Y": t * t}
-    assert (f * g).substitute(mapping, dst) == \
-        f.substitute(mapping, dst) * g.substitute(mapping, dst)
+    phi = RingMap(src, dst, {"X": t + 1, "Y": t * t})
+    assert (f * g).substitute(phi) == f.substitute(phi) * g.substitute(phi)
 
 
 def test_construction_coerces_coefficients_into_the_base_field():

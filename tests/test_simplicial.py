@@ -26,7 +26,7 @@ def test_level1_structure_maps_fill_their_memos():
     x = simplex_ring(GF(7), 1).gen("X1")
     sp = SimplexPoly(GF(7), 1, 3 * x ** 2 + x + 2)
     for kind, i, apply in (("d", 0, face), ("s", 1, degeneracy)):
-        memo = _structure_map(GF(7), 1, i, kind)[2]
+        memo = _structure_map(GF(7), 1, i, kind).memo
         memo.clear()
         apply(i, sp)
         assert set(memo) == set(sp.poly.terms)

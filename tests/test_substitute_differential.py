@@ -1,4 +1,5 @@
-"""Differential tests: ``Poly.substitute`` against the definitional sum.
+"""Differential tests: ``Poly.substitute`` under a ``RingMap`` against the
+definitional sum.
 
 The reference substitutes by ring arithmetic alone: the sum over terms of
 c * prod(value_v ** k_v), computed with ``Poly`` +, * and ** in the
@@ -7,13 +8,17 @@ monomials (exponent shifts on the fast path), scaled monomials,
 constants, zero and general polynomials; targets have several variables,
 one variable (dense) or none.  The simplicial face and degeneracy maps
 are checked with a warm per-map memo against a cold one, over Q, F_7
-and F_9.
+and F_9.  Edge cases of the prepared map: coefficients equal to one but
+held as distinct objects, monomials that cancel in the target, a map
+applied outside its source, and a memo reused past its bound.
 """
+
+from fractions import Fraction
 
 import pytest
 
-from chevloops import (GF, Poly, PolyRing, QQ, SimplexPoly, degeneracy,
-                       face, simplex_ring)
+from chevloops import (GF, FqElement, Poly, PolyRing, QQ, RingMap,
+                       SimplexPoly, degeneracy, face, simplex_ring)
 from chevloops import simplicial
 from chevloops.rings import SUBSTITUTE_MEMO_LIMIT
 
@@ -41,6 +46,13 @@ def _reference(f, mapping, target):
             term = term * val ** k
         acc = acc + term
     return acc
+
+
+def _cold(phi):
+    """A fresh RingMap with the same values as ``phi`` and an empty memo,
+    and the mapping it was built from."""
+    mapping = dict(zip(phi.source.variables, phi.values))
+    return RingMap(phi.source, phi.target, mapping), mapping
 
 
 def _exponents(ring, top):
@@ -82,14 +94,13 @@ def test_substitute_matches_the_definitional_sum(name, tvars):
         f = _poly(data, src, scalars, 3, 6)
         g = _poly(data, src, scalars, 3, 6)
         want_f = _reference(f, mapping, target)
-        assert f.substitute(mapping, target) == want_f
-        # one memo serves every polynomial under the same mapping
-        memo = {}
-        assert f.substitute(mapping, target, memo) == want_f
-        assert g.substitute(mapping, target, memo) == \
-            _reference(g, mapping, target)
-        assert f.substitute(mapping, target, memo) == want_f
-        assert len(memo) <= SUBSTITUTE_MEMO_LIMIT
+        assert f.substitute(RingMap(src, target, mapping)) == want_f
+        # one memo serves every polynomial under the same map
+        phi = RingMap(src, target, mapping)
+        assert f.substitute(phi) == want_f
+        assert g.substitute(phi) == _reference(g, mapping, target)
+        assert f.substitute(phi) == want_f
+        assert len(phi.memo) <= SUBSTITUTE_MEMO_LIMIT
     check()
 
 
@@ -106,14 +117,14 @@ def test_faces_and_degeneracies_agree_with_a_cold_memo(name):
         if level:
             maps += [(i, face, "d") for i in range(level + 1)]
         for i, op, kind in maps:
-            mapping, target, memo = simplicial._structure_map(
-                field, level, i, kind)
-            cold = sp.poly.substitute(mapping, target)
-            assert cold == _reference(sp.poly, mapping, target)
+            phi = simplicial._structure_map(field, level, i, kind)
+            fresh, mapping = _cold(phi)
+            cold = sp.poly.substitute(fresh)
+            assert cold == _reference(sp.poly, mapping, phi.target)
             first = op(i, sp)
             assert first.poly == cold
             assert op(i, sp).poly == cold         # warm memo
-            assert len(memo) <= SUBSTITUTE_MEMO_LIMIT
+            assert len(phi.memo) <= SUBSTITUTE_MEMO_LIMIT
     check()
 
 
@@ -127,12 +138,23 @@ def test_memos_are_separate_per_field(monkeypatch):
     y = simplex_ring(QQ, 1).gen("X1")
     assert q_out.poly == (1 - y) ** 2 * 8
     assert f_out.poly == (1 - simplex_ring(GF(7), 1).gen("X1")) ** 2
-    q_memo = simplicial._structure_map(QQ, 2, 0, "d")[2]
-    f_memo = simplicial._structure_map(GF(7), 2, 0, "d")[2]
+    q_memo = simplicial._structure_map(QQ, 2, 0, "d").memo
+    f_memo = simplicial._structure_map(GF(7), 2, 0, "d").memo
     assert q_memo is not f_memo
     assert q_memo and f_memo
     assert all(img.ring.base is QQ for img in q_memo.values())
     assert all(img.ring.base is GF(7) for img in f_memo.values())
+    # over a term-dict target the images are (exponents, coefficient) pairs
+    # with coefficient None for one: X1^2 -> (1 - X1 - X2)^2
+    for field, kind in ((QQ, Fraction), (GF(7), FqElement)):
+        x = simplex_ring(field, 3).gen("X1")
+        face(0, SimplexPoly(field, 3, x ** 2 * 8))
+        memo = simplicial._structure_map(field, 3, 0, "d").memo
+        cs = [tc for img in memo.values() for _, tc in img]
+        assert None in cs
+        cs = [tc for tc in cs if tc is not None]
+        assert cs and all(type(tc) is kind for tc in cs)
+        assert all(tc.field is field for tc in cs if kind is FqElement)
 
 
 def test_memo_stays_within_its_bound(monkeypatch):
@@ -146,11 +168,94 @@ def test_memo_stays_within_its_bound(monkeypatch):
              for b in range(top + 1 - a)}
     sp = SimplexPoly(QQ, 2, Poly(ring, terms))
     assert len(sp.poly.terms) > SUBSTITUTE_MEMO_LIMIT
-    mapping, target, memo = simplicial._structure_map(QQ, 2, 1, "s")
-    cold = sp.poly.substitute(mapping, target)
+    phi = simplicial._structure_map(QQ, 2, 1, "s")
+    cold = sp.poly.substitute(_cold(phi)[0])
     for _ in range(2):
         assert degeneracy(1, sp).poly == cold
-        assert 0 < len(memo) <= SUBSTITUTE_MEMO_LIMIT
-    private = {}
-    assert sp.poly.substitute(mapping, target, private) == cold
-    assert len(private) <= SUBSTITUTE_MEMO_LIMIT
+        assert 0 < len(phi.memo) <= SUBSTITUTE_MEMO_LIMIT
+    private = _cold(phi)[0]
+    assert sp.poly.substitute(private) == cold
+    assert len(private.memo) <= SUBSTITUTE_MEMO_LIMIT
+
+
+# one as a distinct object: a reduced Fraction, 8 in F_7, a fresh F_9 one
+DISTINCT_ONES = [(QQ, Fraction(3, 3)), (GF(7), GF(7)(8)),
+                 (GF(9), FqElement(GF(9), (1, 0)))]
+
+
+@pytest.mark.parametrize("tvars", TARGETS, ids=["multi", "dense", "const"])
+@pytest.mark.parametrize("field, one", DISTINCT_ONES,
+                         ids=[str(f) for f, _ in DISTINCT_ONES])
+def test_distinct_ones_match_the_definitional_sum(field, one, tvars):
+    assert one == field.one and one is not field.one
+    src = PolyRing(field, ("A", "B", "C"))
+    target = PolyRing(field, tvars)
+    gens = target.gens() or (target.one,)
+    x, y = gens[0], gens[-1]
+    mapping = {"A": Poly(target, {e: one for e in (x * x).terms}),
+               "B": x * one + y * one + one,
+               "C": Poly(target, {e: one for e in y.terms}) * 2}
+    f = Poly(src, {(2, 0, 0): one, (1, 1, 0): 3, (0, 2, 1): one,
+                   (0, 0, 0): one})
+    phi = RingMap(src, target, mapping)
+    want = _reference(f, mapping, target)
+    assert f.substitute(phi) == want
+    assert f.substitute(phi) == want          # warm memo
+    if target._kind is None:
+        base_one = field.one
+        assert all(tc is None or tc != base_one
+                   for img in phi.memo.values() for _, tc in img)
+
+
+@pytest.mark.parametrize("tvars", TARGETS, ids=["multi", "dense", "const"])
+@pytest.mark.parametrize("name", sorted(FIELDS))
+def test_monomials_that_cancel_in_the_target_are_dropped(name, tvars):
+    field = FIELDS[name][0]
+    src = PolyRing(field, ("A", "B"))
+    target = PolyRing(field, tvars)
+    x = (target.gens() or (target(2),))[0]
+    a, b = src.gens()
+    phi = RingMap(src, target, {"A": x, "B": x})
+    assert (a - b).substitute(phi).terms == {}
+    # A^2 - B^2 + 3A -> 3x: the two squares meet on one monomial and cancel
+    assert (a ** 2 - b ** 2 + 3 * a).substitute(phi).terms == (x * 3).terms
+    phi = RingMap(src, target, {"A": x, "B": -x})
+    assert (a + b).substitute(phi).is_zero()
+
+
+def test_a_map_applies_only_to_its_source_ring():
+    target = PolyRing(QQ, ("X", "Y"))
+    phi = RingMap(PolyRing(QQ, ("A",)), target, {"A": target.gen("X")})
+    for ring in (PolyRing(QQ, ("B",)), PolyRing(GF(7), ("A",)),
+                 PolyRing(QQ, ("A", "B")), target):
+        with pytest.raises(ValueError):
+            ring.one.substitute(phi)
+    # an equal ring built separately is the same source
+    f = PolyRing(QQ, ("A",)).gen("A") * 5
+    assert f.substitute(phi) == target.gen("X") * 5
+    with pytest.raises(ValueError, match="coefficient field"):
+        RingMap(PolyRing(GF(7), ("A",)), target, {"A": 1})
+    with pytest.raises(ValueError, match="no value for variable A"):
+        RingMap(PolyRing(QQ, ("A",)), target, {})
+
+
+def test_a_reused_map_agrees_with_fresh_ones_across_memo_overflow():
+    src = PolyRing(QQ, ("A", "B", "C"))
+    target = PolyRing(QQ, ("X", "Y", "Z"))
+    x, y, z = target.gens()
+    mapping = {"A": x, "B": y * 3, "C": y + z}
+    # 11^3 distinct monomials, more than one memo keeps, in slices of 60
+    exps = [(a, b, c) for a in range(11) for b in range(11)
+            for c in range(11)]
+    assert len(exps) > SUBSTITUTE_MEMO_LIMIT
+    phi = RingMap(src, target, mapping)
+    sizes = []
+    for k in range(0, len(exps), 60):
+        f = Poly(src, {e: k + j + 1 for j, e in enumerate(exps[k:k + 60])})
+        assert f.substitute(phi) == f.substitute(RingMap(src, target, mapping))
+        sizes.append(len(phi.memo))
+        assert sizes[-1] <= SUBSTITUTE_MEMO_LIMIT
+    # the memo was cleared at its bound and refilled
+    assert any(b < a for a, b in zip(sizes, sizes[1:]))
+    f = Poly(src, {e: 1 for e in exps[:60]})
+    assert f.substitute(phi) == f.substitute(RingMap(src, target, mapping))
