@@ -13,7 +13,9 @@ Steinberg-word layers.
 
 from __future__ import annotations
 
-from .rings import Poly, PolyRing
+from math import lcm, prod
+
+from .rings import QQ, Poly, PolyRing
 
 
 def check_root(root, n: int):
@@ -71,8 +73,15 @@ def _leading_term(f: Poly):
     return e, terms[e]
 
 
+class _Integers:
+    """Z, where ``det`` over Q eliminates; its divisions are exact."""
+    zero, one = 0, 1
+
+
 def _exact_div(ring, x, d):
     """x / d in ``ring`` when d divides x exactly."""
+    if ring is _Integers:
+        return x // d
     if ring.is_field or d.is_constant():
         return x * ring.invert(d)
     # leading-term division in the lexicographic order on exponent vectors
@@ -170,9 +179,16 @@ class GroupMatrix:
                           for i in range(n)], _checked=True)
 
     def det(self):
-        pivot, odd = _bareiss([list(r) for r in self.rows], self.ring,
-                              clear_above=False)
-        return -pivot if odd else pivot
+        rows, ring, den = [list(r) for r in self.rows], self.ring, 1
+        if ring is QQ:
+            # det(A) = det(DA) / det(D), D clearing each row's denominators
+            dens = [lcm(*[x.denominator for x in row]) for row in rows]
+            rows = [[x.numerator * (d // x.denominator) for x in row]
+                    for d, row in zip(dens, rows)]
+            ring, den = _Integers, prod(dens)
+        pivot, odd = _bareiss(rows, ring, clear_above=False)
+        pivot = -pivot if odd else pivot
+        return QQ(pivot) / den if ring is _Integers else pivot
 
     def entry(self, i: int, j: int):
         """Entry at 1-based position (i, j)."""

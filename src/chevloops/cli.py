@@ -17,6 +17,7 @@ import time
 
 from . import serialize
 from .acceptance import DEFAULT_SEED, run_all
+from .chevalley import GroupMatrix
 from .factorization import factor_elementary, path_to_steinberg
 from .loops import c_loop, verify_path_identity
 from .oracles import (MAX_GROUP_ORDER, milnor_k2_finite_field,
@@ -146,14 +147,22 @@ def _cmd_verify_identity(args) -> int:
         lhs_docs, rhs_docs = doc["lhs"], doc["rhs"]
     except (KeyError, TypeError):
         raise InputError("expected a document with 'lhs' and 'rhs' lists")
-    # each factor is det-checked on load and multiplied once
-    serialize.check_document_work(lhs_docs + rhs_docs)
-    lhs = [serialize.matrix_from_json(d) for d in lhs_docs]
-    rhs = [serialize.matrix_from_json(d) for d in rhs_docs]
-    equal, cert = verify_path_identity(lhs, rhs)
+    docs = lhs_docs + rhs_docs
+    serialize.check_document_work(docs)
+    # det is multiplicative: if the products agree and every other factor
+    # has det 1, so has the last; it is checked only when they do not
+    factors = [serialize.matrix_from_json(d, check_det=k < len(docs) - 1)
+               for k, d in enumerate(docs)]
+    equal = False
+    try:
+        equal, cert = verify_path_identity(factors[:len(lhs_docs)],
+                                           factors[len(lhs_docs):])
+    finally:
+        if not equal:  # rebuilding checks the determinant
+            GroupMatrix(factors[-1].ring, factors[-1].rows)
     first_diff = None
     if cert is not None:
-        ring = (lhs + rhs)[0].ring
+        ring = factors[0].ring
         first_diff = {
             "row": cert[0], "col": cert[1],
             "lhs": serialize.scalar_to_json(ring, cert[2]),

@@ -15,6 +15,9 @@ identity to h(u) and a loop only when u = 1.
 
 from __future__ import annotations
 
+from functools import reduce
+from operator import mul
+
 from .chevalley import (GroupMatrix, _canonical_letters, c_letter_seq,
                         check_root, elem, eval_matrix, h_letter_seq,
                         product_of_elementaries, w_letter_seq)
@@ -157,14 +160,6 @@ def sl2_closed_form(u, v, field) -> PathMatrix:
     return PathMatrix(GroupMatrix(ring, rows))
 
 
-def _side_product(side, ring, n):
-    acc = GroupMatrix.identity(ring, n)
-    for item in side:
-        m = item.matrix if isinstance(item, PathMatrix) else item
-        acc = acc * m
-    return acc
-
-
 def verify_path_identity(lhs, rhs):
     """Compare two products of paths entrywise as exact polynomials.
 
@@ -172,19 +167,16 @@ def verify_path_identity(lhs, rhs):
     ``(False, (i, j, lhs_entry, rhs_entry))`` for the first differing
     entry in row-major order (1-based).
     """
-    lhs = list(lhs)
-    rhs = list(rhs)
+    lhs, rhs = ([m.matrix if isinstance(m, PathMatrix) else m for m in side]
+                for side in (lhs, rhs))
     items = lhs + rhs
     if not items:
         return True, None
-    first = items[0].matrix if isinstance(items[0], PathMatrix) else items[0]
-    ring, n = first.ring, first.n
-    for item in items:
-        m = item.matrix if isinstance(item, PathMatrix) else item
-        if m.ring != ring or m.n != n:
-            raise ValueError("all factors must share one ring and size")
-    left = _side_product(lhs, ring, n)
-    right = _side_product(rhs, ring, n)
+    ring, n = items[0].ring, items[0].n
+    if any(m.ring != ring or m.n != n for m in items):
+        raise ValueError("all factors must share one ring and size")
+    left, right = (reduce(mul, side) if side else GroupMatrix.identity(ring, n)
+                   for side in (lhs, rhs))
     for i in range(n):
         for j in range(n):
             if left.rows[i][j] != right.rows[i][j]:

@@ -204,10 +204,9 @@ def check_document_work(docs, rounds: int = 1):
 # Most decimal digits an entry of a matrix document over Q, or a
 # coefficient of one over Q[...], may have once its row is written over
 # one common denominator, in that denominator and in the numerator.  The
-# determinant check costs about the same as integer Bareiss on those
-# numerators: a dense 28x28 document of random 64-digit integers, or of
-# entries 1/ddd (row denominators of about 55 digits), is checked in about
-# half a second, one of 1000-digit integers in 32 s.
+# determinant check is integer Bareiss on those numerators: a dense 28x28
+# document at the limit is checked in 0.05-0.2 s, one of 1000-digit
+# integers would take 24 s.
 MAX_ENTRY_DIGITS = 64
 
 
@@ -249,9 +248,10 @@ def _entry_rows(ring, doc: dict) -> list[list]:
     return [flat[k * n:(k + 1) * n] for k in range(n)]
 
 
-def matrix_from_json(doc: dict) -> GroupMatrix:
+def matrix_from_json(doc: dict, check_det: bool = True) -> GroupMatrix:
+    """Without ``check_det``, the determinant is left to the caller."""
     ring = parse_ring(doc["ring"])
-    return GroupMatrix(ring, _entry_rows(ring, doc))
+    return GroupMatrix(ring, _entry_rows(ring, doc), _checked=not check_det)
 
 
 def path_to_json(path: PathMatrix) -> dict:

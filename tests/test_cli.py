@@ -580,6 +580,18 @@ def test_the_densest_admitted_identity_answers_in_under_a_second(tmp_path,
     assert seconds < 1.0
 
 
+def test_the_densest_admitted_refutation_answers_in_under_a_second(tmp_path,
+                                                                  capsys):
+    # the products differ, so both determinants are checked
+    n = serialize.MAX_DOCUMENT_SIZE
+    a, b = (serialize.matrix_to_json(_dense_q(n, random.Random(seed)))
+            for seed in ("densest", "refuted"))
+    code, out, seconds = _timed(tmp_path, capsys, ["verify-identity"],
+                                {"lhs": [a], "rhs": [b]})
+    assert (code, out["equal"]) == (0, False)
+    assert seconds < 1.0
+
+
 def _q_doc(rows):
     return {"schema": serialize.SCHEMA_MATRIX, "n": len(rows), "ring": "Q",
             "entries": [[str(x) for x in row] for row in rows]}
