@@ -23,16 +23,9 @@ from .chevalley import (GroupMatrix, _canonical_letters, c_letter_seq,
                         product_of_elementaries, w_letter_seq)
 from .rings import PolyRing
 
-_PATH_RINGS: dict = {}
-
-
 def path_ring(field) -> PolyRing:
-    """k[T], cached so paths over the same field share one ring object."""
-    ring = _PATH_RINGS.get(field)
-    if ring is None:
-        ring = PolyRing(field, ("T",))
-        _PATH_RINGS[field] = ring
-    return ring
+    """k[T], the ring of every path over ``field``."""
+    return PolyRing(field, ("T",))
 
 
 class PathMatrix:
@@ -173,7 +166,7 @@ def verify_path_identity(lhs, rhs):
     if not items:
         return True, None
     ring, n = items[0].ring, items[0].n
-    if any(m.ring != ring or m.n != n for m in items):
+    if any(m.ring is not ring or m.n != n for m in items):
         raise ValueError("all factors must share one ring and size")
     left, right = (reduce(mul, side) if side else GroupMatrix.identity(ring, n)
                    for side in (lhs, rhs))

@@ -424,17 +424,17 @@ def _conjugation_columns(right, inv, sub: list[int], pair):
     return out
 
 
-def _h2_torsion(d2_cols, d3_cols, order: int) -> list[int]:
-    """Invariant factors of H_2 = ker d2 / im d3, from modular certificates.
+def _h2_torsion(d2_cols, d3_cols, order: int, p: int) -> list[int]:
+    """The p-part of H_2 = ker d2 / im d3 as sorted powers of p, from
+    modular certificates.
 
     With m = order - 1, rank d2 = m and rank d3 = m^2 - m over F_l for
     one prime l not dividing the order certify both ranks over Q (d2 has
     m rows, and d2 . d3 = 0 caps rank d3), so H_2 is finite.  The order
-    annihilates H_2, so only primes p | order occur, each with
-    v_p(factor) <= v_p(order) = k - 1.  The Smith form of d3 is read mod
-    p^(k+1), one power beyond that bound: it must have m^2 - m nonzero
-    factors there (none lost to a valuation above k) and none of
-    valuation k or more.
+    annihilates H_2, so each p-power factor has v_p <= v_p(order) = k - 1.
+    The Smith form of d3 is read mod p^(k+1), one power beyond that bound:
+    it must have m^2 - m nonzero factors there (none lost to a valuation
+    above k) and none of valuation k or more.
     """
     m = order - 1
     stop = m * m - m
@@ -447,20 +447,17 @@ def _h2_torsion(d2_cols, d3_cols, order: int) -> list[int]:
     if _local_smith(d2, ell, 1, m)[0] != m or \
             _local_smith(d3, ell, 1, stop)[0] != stop:
         raise RuntimeError(f"bar complex failed its rank check mod {ell}")
-    parts = []
-    for p in sorted(prime_factors(order)):
-        k = _strip_p(order, p)[1] + 1
-        units, valuations = _local_smith(d3, p, k + 1, stop)
-        if units + len(valuations) != stop:
-            raise RuntimeError(
-                f"Smith form of d3 mod {p}^{k + 1} has "
-                f"{units + len(valuations)} nonzero factors, not {stop}")
-        if any(v >= k for v in valuations):
-            raise RuntimeError(
-                f"Smith form of d3 has a factor divisible by {p}^{k}, "
-                f"which the group order {order} does not annihilate")
-        parts.append([p ** v for v in valuations])
-    return _merge_p_parts(parts)
+    k = _strip_p(order, p)[1] + 1
+    units, valuations = _local_smith(d3, p, k + 1, stop)
+    if units + len(valuations) != stop:
+        raise RuntimeError(
+            f"Smith form of d3 mod {p}^{k + 1} has "
+            f"{units + len(valuations)} nonzero factors, not {stop}")
+    if any(v >= k for v in valuations):
+        raise RuntimeError(
+            f"Smith form of d3 has a factor divisible by {p}^{k}, "
+            f"which the group order {order} does not annihilate")
+    return sorted(p ** v for v in valuations)
 
 
 def _merge_p_parts(parts: list[list[int]]) -> list[int]:
@@ -491,7 +488,7 @@ def _p_part(right, inv, sub: list[int], p: int) -> list[int]:
     d2_cols, d3_cols, pair = _bar_complex(right, sub)
     _check_cycles(d2_cols, d3_cols,
                   "bar-complex boundary does not square to zero")
-    h2 = _h2_torsion(d2_cols, d3_cols, size)
+    h2 = _h2_torsion(d2_cols, d3_cols, size, p)
     if size == order or not h2:
         return h2
     if any(right[a][b] != right[b][a] for a in sub for b in sub):
@@ -501,7 +498,7 @@ def _p_part(right, inv, sub: list[int], p: int) -> list[int]:
             f"elements, which are not implemented")
     cols = _conjugation_columns(right, inv, sub, pair)
     _check_cycles(d2_cols, cols, "a conjugation column is not a cycle")
-    return _h2_torsion(d2_cols, d3_cols + cols, size)
+    return _h2_torsion(d2_cols, d3_cols + cols, size, p)
 
 
 def schur_multiplier(gens: list[GroupMatrix],

@@ -263,24 +263,27 @@ class FqElement:
 
 
 class FiniteField:
-    """F_{p^e}.  For e >= 2 the modulus comes from a fixed table (q <= 16)."""
+    """F_{p^e}, one object per q, so fields compare by identity.  For
+    e >= 2 the modulus comes from a fixed table (q <= 16)."""
 
     is_field = True
+    _fields: dict = {}
 
-    def __init__(self, q: int, _token=None):
-        if _token is not _FIELD_TOKEN:
-            raise ValueError("use GF(q) to construct finite fields")
+    def __new__(cls, q: int):
+        self = cls._fields.get(q)
+        if self is not None:
+            return self
         p, e = _prime_power(q)
         if e > 1 and q not in _FIELD_POLYNOMIALS:
             raise ValueError(
                 f"F_{q}: no field polynomial on record; prime powers with "
                 f"e >= 2 are supported only for q <= 16")
-        self.q = q
-        self.p = p
-        self.e = e
+        self = cls._fields[q] = object.__new__(cls)
+        self.q, self.p, self.e = q, p, e
         self.modulus = _FIELD_POLYNOMIALS.get(q)
         self.zero = FqElement(self, (0,) * e)
         self.one = FqElement(self, (1,) + (0,) * (e - 1))
+        return self
 
     @property
     def characteristic(self) -> int:
@@ -343,17 +346,7 @@ class FiniteField:
         return f"GF({self.q})"
 
 
-_FIELD_TOKEN = object()
-_FIELD_CACHE: dict[int, FiniteField] = {}
-
-
-def GF(q: int) -> FiniteField:
-    """The finite field with q elements (cached, so fields compare by identity)."""
-    f = _FIELD_CACHE.get(q)
-    if f is None:
-        f = FiniteField(q, _token=_FIELD_TOKEN)
-        _FIELD_CACHE[q] = f
-    return f
+GF = FiniteField
 
 
 # ---------------------------------------------------------------------------
@@ -369,15 +362,23 @@ class PolyRing:
     positive denominator d with gcd(d, *numerators) == 1; over F_{p^e}
     with e >= 2 they are ``FqElement`` values.  Any other ring keys its
     nonzero coefficients by exponent vectors aligned with the declared
-    variable list.  Both forms are canonical, so equality is structural.
+    variable list.  Both forms are canonical, so element equality is
+    structural.  There is one ring object per (base, variables), so rings
+    compare by identity.
     """
 
-    def __init__(self, base, variables):
+    _rings: dict = {}
+
+    def __new__(cls, base, variables):
         if not (base is QQ or isinstance(base, FiniteField)):
             raise ValueError(f"unsupported coefficient ring {base!r}")
         variables = tuple(variables)
+        self = cls._rings.get((base, variables))
+        if self is not None:
+            return self
         if len(set(variables)) != len(variables):
             raise ValueError(f"repeated variable names in {variables}")
+        self = cls._rings[base, variables] = object.__new__(cls)
         self.base = base
         self.variables = variables
         # storage kind: "Q", "p" (F_p) or "q" (F_{p^e}, e >= 2) for the
@@ -398,6 +399,7 @@ class PolyRing:
         else:
             self.zero = _poly(self, ())
             self.one = _poly(self, (base.one if kind == "q" else 1,))
+        return self
 
     is_field = False
 
@@ -417,7 +419,7 @@ class PolyRing:
 
     def __call__(self, x) -> "Poly":
         if isinstance(x, Poly):
-            if x.ring is not self and x.ring != self:
+            if x.ring is not self:
                 raise ValueError(f"polynomial of {x.ring!r} is not in {self!r}")
             return x
         c = self.base(x)
@@ -459,13 +461,6 @@ class PolyRing:
         if t == one:
             return True
         return None
-
-    def __eq__(self, other):
-        return (isinstance(other, PolyRing) and other.base is self.base
-                and other.variables == self.variables)
-
-    def __hash__(self):
-        return hash((id(self.base), self.variables))
 
     def __repr__(self):
         vs = ",".join(self.variables) if self.variables else ""
@@ -571,7 +566,7 @@ class Poly:
 
     def _coerce(self, other):
         if isinstance(other, Poly):
-            if other.ring is not self.ring and other.ring != self.ring:
+            if other.ring is not self.ring:
                 raise ValueError(
                     f"mixed rings: {self.ring!r} and {other.ring!r}")
             return other
@@ -742,9 +737,8 @@ class Poly:
 
     def __eq__(self, other):
         if isinstance(other, Poly):
-            if other.ring is not self.ring and other.ring != self.ring:
-                return False
-            return other._c == self._c and other._d == self._d
+            return (other.ring is self.ring and other._c == self._c
+                    and other._d == self._d)
         try:
             return self == self.ring(other)
         except (ValueError, ZeroDivisionError):
@@ -835,7 +829,7 @@ class Poly:
         coefficient and summed.
         """
         ring = self.ring
-        if phi.source is not ring and phi.source != ring:
+        if phi.source is not ring:
             raise ValueError(f"ring map from {phi.source!r}, not {ring!r}")
         target = phi.target
         memo = phi.memo
@@ -986,7 +980,7 @@ def poly_divmod(f: Poly, g: Poly) -> tuple[Poly, Poly]:
     """Euclidean division in k[T]: f = q*g + r with deg r < deg g or r = 0."""
     if not isinstance(f, Poly) or not isinstance(g, Poly):
         raise ValueError("poly_divmod expects polynomials")
-    if f.ring != g.ring:
+    if f.ring is not g.ring:
         raise ValueError(f"mixed rings: {f.ring!r} and {g.ring!r}")
     ring = f.ring
     if not ring.univariate:

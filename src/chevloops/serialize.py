@@ -276,6 +276,32 @@ def word_to_json(w: SteinbergWord) -> dict:
     }
 
 
+# Most decimal digits the letters of a word document over Q or Q[...] may
+# have in all, counted in the numerator and the denominator of each letter
+# (of each coefficient over Q[...]).  Multiplying the word out can grow its
+# entries by each letter's digits.  The slowest word found at the limit, at
+# n = 3 or 28, is 150 letters a*T + b*T^32 over Q[T] with one-digit a and
+# b (0.6 s); over Q every shape tried answers in 0.02 s.
+MAX_WORD_DIGITS = 600
+
+
+def _check_word_digits(ring, params: list):
+    """Refuse the letters of a word over Q or Q[...], before the word is
+    built, when their digits exceed ``MAX_WORD_DIGITS``."""
+    if isinstance(ring, PolyRing) and ring.base is QQ:
+        params = [c for f in params for c in f.terms.values()]
+    elif ring is not QQ:
+        return
+    try:    # str() refuses past 4300 digits, so past the limit too
+        digits = sum(len(str(abs(x.numerator))) + len(str(x.denominator))
+                     for x in params)
+    except ValueError:
+        digits = MAX_WORD_DIGITS + 1
+    if digits > MAX_WORD_DIGITS:
+        raise ValueError(f"word letters have more than {MAX_WORD_DIGITS} "
+                         f"digits in all (MAX_WORD_DIGITS)")
+
+
 def word_from_json(doc: dict) -> SteinbergWord:
     n = _declared_size(doc)
     ring = parse_ring(doc["ring"])
@@ -284,6 +310,7 @@ def word_from_json(doc: dict) -> SteinbergWord:
         if not (isinstance(item, list) and len(item) in (3, 4)):
             raise ValueError(f"bad word letter {item!r}")
     params = _scalars_from_json(ring, [item[2] for item in items])
+    _check_word_digits(ring, params)
     letters = [((item[0], item[1]), param,
                 item[3] if len(item) == 4 else 1)
                for item, param in zip(items, params)]
@@ -340,12 +367,11 @@ def _bounded_terms(ring: PolyRing, docs: list) -> list[dict]:
 
 
 def simplex_poly_to_json(sp: SimplexPoly) -> dict:
-    ring = simplex_ring(sp.field, sp.level)
     return {
         "schema": SCHEMA_SIMPLEX_POLY,
         "level": sp.level,
         "field": format_ring(sp.field),
-        "poly": scalar_to_json(ring, sp.poly),
+        "poly": scalar_to_json(sp.poly.ring, sp.poly),
     }
 
 
@@ -357,13 +383,12 @@ def simplex_poly_from_json(doc: dict) -> SimplexPoly:
 
 
 def simplex_matrix_to_json(sm: SimplexMatrix) -> dict:
-    ring = simplex_ring(sm.field, sm.level)
     return {
         "schema": SCHEMA_SIMPLEX_MATRIX,
         "level": sm.level,
         "n": sm.n,
         "field": format_ring(sm.field),
-        "entries": [[scalar_to_json(ring, x) for x in row]
+        "entries": [[scalar_to_json(sm.matrix.ring, x) for x in row]
                     for row in sm.matrix.rows],
     }
 

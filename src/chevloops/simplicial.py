@@ -22,19 +22,11 @@ from .chevalley import GroupMatrix
 from .loops import PathMatrix, path_ring
 from .rings import PolyRing, RingMap
 
-_SIMPLEX_RINGS: dict = {}
-
-
 def simplex_ring(field, level: int) -> PolyRing:
     """Canonical coordinate ring of the level-n simplex: k[X1, ..., Xn]."""
     if level < 0:
         raise ValueError("simplex level must be nonnegative")
-    key = (field, level)
-    ring = _SIMPLEX_RINGS.get(key)
-    if ring is None:
-        ring = PolyRing(field, tuple(f"X{i}" for i in range(1, level + 1)))
-        _SIMPLEX_RINGS[key] = ring
-    return ring
+    return PolyRing(field, tuple(f"X{i}" for i in range(1, level + 1)))
 
 
 class SimplexPoly:
@@ -43,16 +35,13 @@ class SimplexPoly:
     __slots__ = ("field", "level", "poly")
 
     def __init__(self, field, level: int, poly):
-        ring = simplex_ring(field, level)
-        self.field = field
-        self.level = level
-        self.poly = ring(poly)
+        self.field, self.level = field, level
+        self.poly = simplex_ring(field, level)(poly)
 
     def __eq__(self, other):
         if not isinstance(other, SimplexPoly):
             return NotImplemented
-        return (self.field is other.field and self.level == other.level
-                and self.poly == other.poly)
+        return self.poly == other.poly     # its ring fixes field and level
 
     def __hash__(self):
         return hash((self.level, self.poly))
@@ -68,13 +57,11 @@ class SimplexMatrix:
     __slots__ = ("field", "level", "matrix")
 
     def __init__(self, field, level: int, matrix: GroupMatrix):
-        if matrix.ring != simplex_ring(field, level):
+        if matrix.ring is not simplex_ring(field, level):
             raise ValueError(
                 f"matrix ring {matrix.ring!r} is not the level-{level} "
                 f"simplex ring")
-        self.field = field
-        self.level = level
-        self.matrix = matrix
+        self.field, self.level, self.matrix = field, level, matrix
 
     @property
     def n(self) -> int:
@@ -86,8 +73,7 @@ class SimplexMatrix:
     def __eq__(self, other):
         if not isinstance(other, SimplexMatrix):
             return NotImplemented
-        return (self.field is other.field and self.level == other.level
-                and self.matrix == other.matrix)
+        return self.matrix == other.matrix
 
     def __repr__(self):
         return f"SimplexMatrix(level={self.level}, {self.matrix!r})"
@@ -132,13 +118,16 @@ def _substitute_rows(matrix: GroupMatrix, phi: RingMap) -> GroupMatrix:
 def _apply(kind: str, i: int, x):
     phi = _structure_map(x.field, x.level, i, kind)
     level = len(phi.target.variables)
+    # the image is already in the target simplex ring
     if isinstance(x, SimplexPoly):
-        # the image is already in the target simplex ring
         out = object.__new__(SimplexPoly)
         out.field, out.level, out.poly = x.field, level, x.poly.substitute(phi)
         return out
     if isinstance(x, SimplexMatrix):
-        return SimplexMatrix(x.field, level, _substitute_rows(x.matrix, phi))
+        out = object.__new__(SimplexMatrix)
+        out.field, out.level = x.field, level
+        out.matrix = _substitute_rows(x.matrix, phi)
+        return out
     noun = "faces" if kind == "d" else "degeneracies"
     raise ValueError(f"cannot take {noun} of {x!r}")
 

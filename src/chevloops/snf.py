@@ -52,25 +52,6 @@ class SparseIntMatrix:
         self.ncols = ncols
         self.entries = data
 
-    @classmethod
-    def from_rows(cls, rows: list[list[int]]) -> "SparseIntMatrix":
-        nrows = len(rows)
-        ncols = len(rows[0]) if rows else 0
-        ent = [(i, j, v) for i, row in enumerate(rows)
-               for j, v in enumerate(row) if v]
-        return cls(nrows, ncols, ent)
-
-    def permuted(self, row_perm: list[int], col_perm: list[int]):
-        return SparseIntMatrix(
-            self.nrows, self.ncols,
-            [(row_perm[i], col_perm[j], v)
-             for (i, j), v in self.entries.items()])
-
-    def transpose(self) -> "SparseIntMatrix":
-        return SparseIntMatrix(
-            self.ncols, self.nrows,
-            [(j, i, v) for (i, j), v in self.entries.items()])
-
     def __eq__(self, other):
         if not isinstance(other, SparseIntMatrix):
             return NotImplemented

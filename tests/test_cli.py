@@ -231,6 +231,17 @@ def test_schur_subcommand(tmp_path, capsys):
     assert doc["order"] == 4
     assert doc["invariant_factors"] == [2]
     assert "timing" in doc
+    # a bare list of generators is read like {"gens": [...]}
+    f.write_text(json.dumps([a, b]))
+    code, bare = _run(capsys, ["schur", "--gens", str(f)])
+    assert code == 0
+    assert {**bare, "timing": 0} == {**doc, "timing": 0}
+    # any other top-level shape is malformed input
+    for shape in ({"generators": [a, b]}, 17, "gens"):
+        f.write_text(json.dumps(shape))
+        code, out = _run(capsys, ["schur", "--gens", str(f)])
+        assert code == 1
+        assert "expected a {'gens': [...]} document" in out["error"]
 
 
 def test_schur_output_deterministic_apart_from_timing(tmp_path, capsys):
@@ -637,6 +648,35 @@ def test_q_entries_are_counted_over_their_row_denominator(tmp_path, capsys):
         got, out, _ = _timed(tmp_path, capsys, ["factor"], _q_doc(rows))
         assert got == code
         assert ("MAX_ENTRY_DIGITS" in out.get("error", "")) == (code == 2)
+
+
+def _word(ring, params):
+    return {"schema": serialize.SCHEMA_WORD, "n": 3, "ring": ring,
+            "letters": [[1 + k % 3, 1 + (k + 1) % 3, p, 1]
+                        for k, p in enumerate(params)]}
+
+
+def test_word_letters_over_the_digit_limit_are_exit_2(tmp_path, capsys):
+    # 800 letters with 30-digit numerators and denominators took 11-12.6 s
+    # to multiply out; over Q[T] every coefficient counts, and a letter
+    # past the 4300 digits str() prints is refused like any other
+    rng = random.Random("word digits")
+    limit = serialize.MAX_WORD_DIGITS
+    long = [f"{rng.randrange(10 ** 29, 10 ** 30)}/"
+            f"{rng.randrange(10 ** 29, 10 ** 30)}" for _ in range(800)]
+    for doc in (_word("Q", long), _word("Q", ["1e4300"]),
+                _word("poly:Q:T", [[[[0], "1"],
+                                    [[1], "1/" + "1" * (limit - 2)]]])):
+        code, out, seconds = _timed(tmp_path, capsys, ["k2-check"], doc)
+        assert code == 2
+        assert "MAX_WORD_DIGITS" in out["error"]
+        assert seconds < 1.0
+    # exactly MAX_WORD_DIGITS digits in all is admitted
+    for doc in (_word("Q", ["1/" + "7" * (limit - 1)]),
+                _word("poly:Q:T", [[[[0], "1"],
+                                    [[1], "1/" + "1" * (limit - 3)]]])):
+        code, out, _ = _timed(tmp_path, capsys, ["k2-check"], doc)
+        assert (code, out["reduced_length"]) == (0, 1)
 
 
 def test_verify_identity_work_is_capped(tmp_path, capsys):

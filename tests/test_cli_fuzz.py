@@ -6,8 +6,9 @@ word document (``WORD_CASES``) with one to three nodes of its
 input documents replaced (huge, negative, boolean and float numbers,
 deep nesting, unknown schemas, bad ring descriptors and rationals,
 rationals past the entry digit limit, or
-a list of up to 30 copies of the node itself), or a
-flag-driven subcommand with adversarial flag values.  Each call must
+a list of up to 30 copies of the node itself), a flag-driven
+subcommand with adversarial flag values, or ``k2-check`` on a long word
+over Q with many-digit letters.  Each call must
 exit 0, 1 or 2, print exactly one JSON document, let no exception
 escape and answer in under a second.  After every call a fixed golden
 case must still print its pinned bytes, so nothing leaks between calls
@@ -25,7 +26,8 @@ import pytest
 
 from chevloops import QQ, symbol_word
 from chevloops.cli import main
-from chevloops.serialize import MAX_DOCUMENT_SIZE, SCHEMA_WORD, word_to_json
+from chevloops.serialize import (MAX_DOCUMENT_SIZE, MAX_WORD_DIGITS,
+                                 SCHEMA_WORD, word_to_json)
 
 hypothesis = pytest.importorskip("hypothesis")
 st = hypothesis.strategies
@@ -200,6 +202,38 @@ def test_mutated_golden_documents(tmp_path_factory, call):
 @given(call=_flag_call())
 def test_adversarial_flags(tmp_path_factory, call):
     _check(tmp_path_factory.mktemp("fuzz"), *call)
+
+
+@st.composite
+def _long_q_word(draw):
+    """A word over Q at n = 3 or 28 whose letters have numerators and
+    denominators of one to 64 digits: either the most letters
+    ``MAX_WORD_DIGITS`` admits at that size, or up to 900.  At 800 letters
+    of 30 digits each, multiplying out took 11-12.6 s at n = 3."""
+    n = draw(st.sampled_from([3, 28]))
+    digits = draw(st.integers(1, 64))
+    count = draw(st.one_of(st.just(MAX_WORD_DIGITS // (2 * digits)),
+                           st.integers(1, 900)))
+    rng = random.Random(draw(st.integers(0, 2 ** 32)))
+
+    def scalar():
+        return "/".join(str(rng.randrange(10 ** (digits - 1), 10 ** digits))
+                        for _ in range(2))
+    return {"schema": SCHEMA_WORD, "n": n, "ring": "Q",
+            "letters": [[*rng.sample(range(1, n + 1), 2), scalar(),
+                         rng.choice([1, -1])] for _ in range(count)]}
+
+
+@settings(max_examples=60, deadline=None, derandomize=True, database=None)
+@given(doc=_long_q_word())
+def test_long_q_words_answer_or_name_the_digit_limit(tmp_path_factory, doc):
+    code, out, seconds = _call(tmp_path_factory.mktemp("fuzz"), ["k2-check"],
+                               {"--in": doc})
+    result = json.loads(out)
+    assert code in (0, 2), result
+    if code == 2:
+        assert "MAX_WORD_DIGITS" in result["error"], result
+    assert seconds < SECONDS, (len(doc["letters"]), seconds)
 
 
 def test_deeply_nested_document_text(tmp_path):

@@ -5,9 +5,9 @@ from fractions import Fraction
 
 import pytest
 
-from chevloops import (GF, QQ, c_loop, h_elem, h_loop, identity_path,
-                       path_ring, sl2_closed_form, verify_path_identity,
-                       w_loop, x_loop)
+from chevloops import (GF, PolyRing, QQ, c_loop, h_elem, h_loop,
+                       identity_path, path_ring, sl2_closed_form,
+                       verify_path_identity, w_loop, x_loop)
 
 
 def _units(field, rng, count):
@@ -20,6 +20,12 @@ def _units(field, rng, count):
         return out
     us = field.units()
     return [us[rng.randrange(len(us))] for _ in range(count)]
+
+
+@pytest.mark.parametrize("field", [QQ, GF(7), GF(9)])
+def test_path_ring_is_the_one_k_t(field):
+    assert path_ring(field) is PolyRing(field, ("T",))
+    assert x_loop((1, 2), 1, 2, field).ring is path_ring(field)
 
 
 def test_x_loop_examples():
@@ -128,6 +134,10 @@ def test_verify_path_identity_definitional_c():
            h_loop((1, 2), a * b, 3, QQ).inverse()]
     ok, cert = verify_path_identity(lhs, rhs)
     assert ok and cert is None
+    # PathMatrix products multiply the underlying matrices
+    assert (rhs[0] * rhs[1] * rhs[2]).matrix == lhs[0].matrix
+    with pytest.raises(TypeError):
+        lhs[0] * lhs[0].matrix
 
 
 def test_verify_path_identity_refutes_h_commutation():

@@ -62,6 +62,24 @@ def test_unsupported_prime_powers_error():
     GF(101)      # any prime is fine
 
 
+def test_rings_are_one_object_per_construction():
+    for q in (2, 7, 9, 16, 101):
+        assert GF(q) is GF(q)
+    for base in (QQ, GF(7), GF(9)):
+        for names in ((), ("T",), ("X", "Y")):
+            ring = PolyRing(base, names)
+            zero, one = ring.zero, ring.one
+            assert PolyRing(base, list(names)) is ring
+            # a repeated construction does not rebuild the ring's constants
+            assert ring.zero is zero and ring.one is one
+    assert PolyRing(QQ, ("T",)) is not PolyRing(GF(7), ("T",))
+    assert PolyRing(QQ, ("X", "Y")) is not PolyRing(QQ, ("Y", "X"))
+    with pytest.raises(ValueError, match="repeated"):
+        PolyRing(QQ, ("T", "T"))
+    with pytest.raises(ValueError, match="unsupported"):
+        PolyRing(PolyRing(QQ, ("T",)), ("S",))
+
+
 def _is_prime_by_trial_division(n):
     return n >= 2 and all(n % d for d in range(2, int(n ** 0.5) + 1))
 

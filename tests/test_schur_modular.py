@@ -25,7 +25,7 @@ from chevloops.acceptance import _cyclic_generator
 from chevloops.oracles import (_bar_complex, _cayley_table, _check_cycles,
                                _closure, _enumerate_group, _generators,
                                _h2_torsion, _merge_p_parts, _p_part, _sylow,
-                               schur_multiplier)
+                               prime_factors, schur_multiplier)
 from chevloops.rings import is_prime
 from chevloops.snf import _local_smith
 
@@ -131,7 +131,8 @@ def _reference_schur(gens):
     order, d2_cols, d3_cols = _complex(tuple(gens))
     assert order <= oracles.MAX_BAR_ORDER
     _check_cycles(d2_cols, d3_cols, "d2 . d3 != 0")
-    return order, _h2_torsion(d2_cols, d3_cols, order)
+    return order, _merge_p_parts([_h2_torsion(d2_cols, d3_cols, order, p)
+                                  for p in sorted(prime_factors(order))])
 
 
 def _matrix(nrows, cols):
@@ -201,28 +202,28 @@ def _scaled(cols, c):
 
 def test_corrupted_d3_fails_the_rank_check():
     order, d2_cols, d3_cols = _klein()
-    assert _h2_torsion(d2_cols, d3_cols, order) == [2]
+    assert _h2_torsion(d2_cols, d3_cols, order, 2) == [2]
     # a multiple of the rank prime vanishes there; so does a dropped column
     with pytest.raises(RuntimeError, match="rank check"):
-        _h2_torsion(d2_cols, _scaled(d3_cols, 1_000_003), order)
+        _h2_torsion(d2_cols, _scaled(d3_cols, 1_000_003), order, 2)
     with pytest.raises(RuntimeError, match="rank check"):
-        _h2_torsion(_scaled(d2_cols, 1_000_003), d3_cols, order)
+        _h2_torsion(_scaled(d2_cols, 1_000_003), d3_cols, order, 2)
     with pytest.raises(RuntimeError, match="rank check"):
-        _h2_torsion(d2_cols, d3_cols[:1], order)
+        _h2_torsion(d2_cols, d3_cols[:1], order, 2)
 
 
 def test_corrupted_d3_fails_the_factor_count():
     # |G| = 4, so d3 is read mod 2^4; every factor of 16 d3 vanishes there
     order, d2_cols, d3_cols = _klein()
     with pytest.raises(RuntimeError, match="nonzero factors"):
-        _h2_torsion(d2_cols, _scaled(d3_cols, 16), order)
+        _h2_torsion(d2_cols, _scaled(d3_cols, 16), order, 2)
 
 
 def test_corrupted_d3_fails_the_valuation_bound():
     # 4 d3 has the factor 4 * 2 = 8, which |G| = 4 cannot annihilate
     order, d2_cols, d3_cols = _klein()
     with pytest.raises(RuntimeError, match="does not annihilate"):
-        _h2_torsion(d2_cols, _scaled(d3_cols, 4), order)
+        _h2_torsion(d2_cols, _scaled(d3_cols, 4), order, 2)
 
 
 def test_schur_multiplier_sl2_f3_is_fast():

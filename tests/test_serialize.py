@@ -5,16 +5,40 @@ from fractions import Fraction
 
 import pytest
 
-from chevloops import (GF, PolyRing, QQ, SimplexPoly, SteinbergWord, c_loop,
-                       elem, simplex_ring, symbol_word)
+from chevloops import (GF, Poly, PolyRing, QQ, SimplexPoly, SteinbergWord,
+                       c_loop, elem, simplex_ring, symbol_word)
 from chevloops import serialize as ser
 
 
 def test_ring_descriptors_roundtrip():
+    # every descriptor kind parses to the one object of its ring
     for ring in (QQ, GF(7), GF(9), PolyRing(QQ, ("T",)),
-                 PolyRing(GF(7), ("X1", "X2"))):
-        assert ser.parse_ring(ser.format_ring(ring)) == ring or \
-            ser.parse_ring(ser.format_ring(ring)) is ring
+                 PolyRing(GF(7), ("X1", "X2")), PolyRing(GF(9), ("T",))):
+        assert ser.parse_ring(ser.format_ring(ring)) is ring
+    assert ser.parse_ring("Fq:7") is GF(7)
+    assert ser.parse_ring("poly:Fq:7:X1,X2") is simplex_ring(GF(7), 2)
+
+
+def test_products_of_matrices_from_separate_documents_stay_fused(
+        monkeypatch):
+    # two documents over one ring load into one ring object, so their
+    # product runs Poly.addmul on every entry and never falls back to
+    # a + x * f
+    for field in (QQ, GF(7)):
+        doc = ser.matrix_to_json(c_loop((1, 2), 2, 3, 3, field).matrix)
+        a, b = (ser.matrix_from_json(json.loads(json.dumps(doc)))
+                for _ in range(2))
+        assert a.ring is b.ring
+        calls = []
+        for name in ("__add__", "__radd__", "__mul__", "__rmul__"):
+            def counted(x, y, name=name, fn=getattr(Poly, name)):
+                calls.append(name)
+                return fn(x, y)
+            monkeypatch.setattr(Poly, name, counted)
+        product = a * b
+        monkeypatch.undo()
+        assert calls == []
+        assert product.rows == (a * b).rows
 
 
 def test_ring_descriptor_errors():

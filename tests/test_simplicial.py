@@ -5,12 +5,30 @@ from fractions import Fraction
 
 import pytest
 
-from chevloops import (GF, GroupMatrix, PathMatrix, QQ, SimplexMatrix,
-                       SimplexPoly, c_loop, degeneracy, elem, face,
-                       moore_is_loop, path_ring, path_to_simplex,
+from chevloops import (GF, GroupMatrix, PathMatrix, PolyRing, QQ,
+                       SimplexMatrix, SimplexPoly, c_loop, degeneracy, elem,
+                       face, moore_is_loop, path_ring, path_to_simplex,
                        simplex_ring, simplex_to_path, verify_homotopy_witness,
                        x_loop, identity_path)
 from chevloops.simplicial import _structure_map
+
+
+@pytest.mark.parametrize("field", [QQ, GF(7)])
+def test_simplex_rings_are_one_object_per_level(field):
+    for level in range(4):
+        ring = simplex_ring(field, level)
+        assert simplex_ring(field, level) is ring
+        assert ring is PolyRing(field, [f"X{i}" for i in range(1, level + 1)])
+    x = simplex_ring(field, 2).gen("X1")
+    sp = SimplexPoly(field, 2, x)
+    assert face(0, sp).poly.ring is simplex_ring(field, 1)
+    assert degeneracy(0, sp).poly.ring is simplex_ring(field, 3)
+    sm = SimplexMatrix(field, 2, GroupMatrix.identity(simplex_ring(field, 2),
+                                                       2))
+    d0 = face(0, sm)
+    assert (d0.field, d0.level) == (field, 1)
+    assert d0.matrix.ring is simplex_ring(field, 1)
+    assert d0 == SimplexMatrix(field, 1, d0.matrix)
 
 
 def test_level1_faces_match_endpoint_evaluations():
