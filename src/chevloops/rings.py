@@ -434,6 +434,14 @@ class PolyRing:
             return _poly(self, (c,))
         return _poly(self, {(0,) * len(self.variables): c})
 
+    def from_ints(self, c: list, d: int = 1) -> "Poly":
+        """The element of a one-variable ring over Q or F_p with
+        little-endian integer coefficients ``c`` over the positive
+        denominator ``d``; over F_p, ``c`` lies in [0, p) and ``d`` is 1."""
+        if self._kind == "p":
+            return _poly(self, _trim(c))
+        return _q_poly(self, c, d)
+
     def is_unit(self, x) -> bool:
         x = self(x)
         return x.is_constant() and not x.is_zero()

@@ -6,13 +6,18 @@ Ring descriptors form one flat namespace across all subcommands:
 encoded as decimal strings ("num/den"), finite-field elements as
 little-endian coefficient vectors, and polynomials as lists of
 [exponent-vector, coefficient] pairs in a fixed order, so identical
-values always serialize to identical documents.
+values always serialize to identical documents.  A one-variable
+polynomial over Q or F_p is read straight into its dense stored form
+(integer numerators over one denominator, or ints mod p) and written
+from it; the limits on a document's terms and digits are checked on the
+integers read, before any polynomial is built.
 """
 
 from __future__ import annotations
 
 from fractions import Fraction
-from math import comb, lcm
+from functools import partial
+from math import comb, gcd, lcm
 
 from .chevalley import GroupMatrix
 from .loops import PathMatrix
@@ -107,6 +112,12 @@ def scalar_to_json(ring, x):
         return list(ring(x).coeffs)
     if isinstance(ring, PolyRing):
         p = ring(x)
+        if _stores_ints(ring):
+            # from the stored integers, highest exponent first
+            cs, d = p._c, p._d
+            return [[[k], str(Fraction(cs[k], d)) if ring.base is QQ
+                     else [cs[k]]]
+                    for k in range(len(cs) - 1, -1, -1) if cs[k]]
         base = ring.base
         return [[list(e), scalar_to_json(base, c)]
                 for e, c in sorted(p.terms.items(), reverse=True)]
@@ -126,33 +137,79 @@ def scalar_from_json(ring, doc):
             return ring(doc)
         raise ValueError(f"bad finite-field encoding {doc!r}")
     if isinstance(ring, PolyRing):
-        return _bounded_polys(ring, [doc])[0]
+        return _scalars_from_json(ring, [doc])[0]
     raise ValueError(f"cannot deserialize over {ring!r}")
 
 
-def _scalars_from_json(ring, docs: list) -> list:
+def _q_pair(doc) -> tuple[int, int]:
+    """A rational encoding as its reduced (numerator, denominator).  A
+    plain int, or an ASCII string "n" or "n/d" with d > 0 and gcd 1, is
+    read directly; any other spelling takes ``scalar_from_json``, with its
+    value or its error."""
+    if doc.__class__ is int:
+        return doc, 1
+    if doc.__class__ is str and doc.isascii():
+        num, slash, den = doc.partition("/")
+        if ((num[1:] if num[:1] == "-" else num).isdigit()
+                and (den.isdigit() or not slash)):
+            n, d = int(num), int(den) if slash else 1
+            if d and gcd(n, d) == 1:
+                return n, d
+    x = scalar_from_json(QQ, doc)
+    return x.numerator, x.denominator
+
+
+def _fp_int(field: FiniteField, doc) -> int:
+    """An F_p encoding as its int in [0, p).  A plain int or a one-int list
+    is reduced directly; anything else takes ``scalar_from_json``."""
+    if doc.__class__ is int:
+        return doc % field.p
+    if doc.__class__ is list and len(doc) == 1 and doc[0].__class__ is int:
+        return doc[0] % field.p
+    return scalar_from_json(field, doc).coeffs[0]
+
+
+def _scalars_from_json(ring, docs: list, check=None) -> list:
     """The encoded scalars of one document; polynomials are counted
-    together against ``MAX_SIMPLEX_TERMS``."""
+    together against ``MAX_SIMPLEX_TERMS``.  Over Q or Q[...], ``check``
+    is first given, per scalar, the list of its (numerator, denominator)
+    pairs, before any scalar is built."""
     if isinstance(ring, PolyRing):
-        return _bounded_polys(ring, docs)
+        terms = _bounded_terms(ring, docs)
+        if check and ring.base is QQ:
+            check([list(t.values()) for t in terms])
+        return _polys_from_terms(ring, terms)
+    if ring is QQ:
+        pairs = [_q_pair(x) for x in docs]
+        if check:
+            check([[x] for x in pairs])
+        return [Fraction(*x) for x in pairs]
     return [scalar_from_json(ring, x) for x in docs]
 
 
-def _terms_from_json(ring: PolyRing, doc) -> dict:
-    """Exponent vector -> coefficient for one encoded polynomial."""
-    if not isinstance(doc, list):
-        raise ValueError(f"bad polynomial encoding {doc!r}")
-    nvars = len(ring.variables)
-    terms = {}
-    for item in doc:
-        if not (isinstance(item, list) and len(item) == 2):
-            raise ValueError(f"bad polynomial term {item!r}")
-        exp, coeff = item
-        if not (isinstance(exp, list) and len(exp) == nvars
-                and all(isinstance(k, int) and k >= 0 for k in exp)):
-            raise ValueError(f"bad exponent vector {exp!r}")
-        terms[tuple(exp)] = scalar_from_json(ring.base, coeff)
-    return terms
+def _stores_ints(ring: PolyRing) -> bool:
+    """Whether ``ring`` stores ints: it has one variable over Q or F_p."""
+    return ring._kind == "Q" or ring._kind == "p"
+
+
+def _polys_from_terms(ring: PolyRing, terms: list[dict]) -> list:
+    """The polynomials of ``_bounded_terms`` dicts."""
+    if not _stores_ints(ring):
+        if ring.base is QQ:
+            terms = [{e: Fraction(*x) for e, x in t.items()} for t in terms]
+        return [Poly(ring, t) for t in terms]
+    q = ring.base is QQ
+    out = []
+    for t in terms:
+        den = 1
+        if q:
+            den = lcm(*[d for _, d in t.values()])
+            t = {k: n * (den // d) for k, (n, d) in t.items()}
+        c = [0] * (max(t) + 1 if t else 0)
+        for k, x in t.items():
+            c[k] = x
+        out.append(ring.from_ints(c, den))
+    return out
 
 
 # ---------------------------------------------------------------------------
@@ -206,21 +263,24 @@ def check_document_work(docs, rounds: int = 1):
 # one common denominator, in that denominator and in the numerator.  The
 # determinant check is integer Bareiss on those numerators: a dense 28x28
 # document at the limit is checked in 0.05-0.2 s, one of 1000-digit
-# integers would take 24 s.
+# integers would take 24 s.  The row's denominator is built from the
+# integers read, and only up to the limit, before any polynomial is: a 1x1
+# path over Q[T] of 4999 coefficients 1/d with 63-digit d is refused in
+# about 0.01 s (8 s when each polynomial's denominator came first).
 MAX_ENTRY_DIGITS = 64
 
 
-def _fits_entry_digits(row: list[Fraction]) -> bool:
-    """Whether ``row`` over its common denominator stays within
-    ``MAX_ENTRY_DIGITS``; that denominator is built only while it does."""
+def _fits_entry_digits(row: list[tuple[int, int]]) -> bool:
+    """Whether the (numerator, denominator) pairs of ``row`` over their
+    common denominator stay within ``MAX_ENTRY_DIGITS``; that denominator
+    is built only while it does."""
     limit = 10 ** MAX_ENTRY_DIGITS
     den = 1
-    for x in row:
-        den = lcm(den, x.denominator)
-        if den >= limit or abs(x.numerator) >= limit:
+    for num, d in row:
+        den = lcm(den, d)
+        if den >= limit or abs(num) >= limit:
             return False
-    return all(abs(x.numerator) * (den // x.denominator) < limit
-               for x in row)
+    return all(abs(num) * (den // d) < limit for num, d in row)
 
 
 def _entry_rows(ring, doc: dict) -> list[list]:
@@ -232,19 +292,16 @@ def _entry_rows(ring, doc: dict) -> list[list]:
     if not (isinstance(entries, list) and len(entries) == n
             and all(isinstance(r, list) and len(r) == n for r in entries)):
         raise ValueError("entry grid does not match declared size")
-    flat = [x for row in entries for x in row]
-    if isinstance(ring, PolyRing):
-        terms = _bounded_terms(ring, flat)
-        coeffs = [list(t.values()) for t in terms] if ring.base is QQ else []
-        flat = [Poly(ring, t) for t in terms]
-    else:
-        flat = [scalar_from_json(ring, x) for x in flat]
-        coeffs = [[x] for x in flat] if ring is QQ else []
-    if coeffs and not all(_fits_entry_digits(
-            [c for cs in coeffs[k * n:(k + 1) * n] for c in cs])
-            for k in range(n)):
-        raise ValueError(f"a row over its common denominator has more than "
-                         f"{MAX_ENTRY_DIGITS} digits (MAX_ENTRY_DIGITS)")
+
+    def check(coeffs):
+        if not all(_fits_entry_digits(
+                [x for cs in coeffs[k * n:(k + 1) * n] for x in cs])
+                for k in range(n)):
+            raise ValueError(f"a row over its common denominator has more "
+                             f"than {MAX_ENTRY_DIGITS} digits "
+                             f"(MAX_ENTRY_DIGITS)")
+    flat = _scalars_from_json(ring, [x for row in entries for x in row],
+                              check)
     return [flat[k * n:(k + 1) * n] for k in range(n)]
 
 
@@ -281,25 +338,26 @@ def word_to_json(w: SteinbergWord) -> dict:
 # (of each coefficient over Q[...]).  Multiplying the word out can grow its
 # entries by each letter's digits.  The slowest word found at the limit, at
 # n = 3 or 28, is 150 letters a*T + b*T^32 over Q[T] with one-digit a and
-# b (0.6 s); over Q every shape tried answers in 0.02 s.
+# b (0.6 s); over Q every shape tried answers in 0.02 s.  The digits are
+# counted on the integers read, before any letter is built, and only until
+# they pass the limit: one Q[T] letter of 4999 coefficients 1/d with
+# 63-digit d is refused in about 0.01 s (13.5 s when it was built first).
 MAX_WORD_DIGITS = 600
 
 
-def _check_word_digits(ring, params: list):
-    """Refuse the letters of a word over Q or Q[...], before the word is
-    built, when their digits exceed ``MAX_WORD_DIGITS``."""
-    if isinstance(ring, PolyRing) and ring.base is QQ:
-        params = [c for f in params for c in f.terms.values()]
-    elif ring is not QQ:
-        return
-    try:    # str() refuses past 4300 digits, so past the limit too
-        digits = sum(len(str(abs(x.numerator))) + len(str(x.denominator))
-                     for x in params)
-    except ValueError:
-        digits = MAX_WORD_DIGITS + 1
-    if digits > MAX_WORD_DIGITS:
-        raise ValueError(f"word letters have more than {MAX_WORD_DIGITS} "
-                         f"digits in all (MAX_WORD_DIGITS)")
+def _check_word_digits(coeffs: list[list]):
+    """Refuse the (numerator, denominator) lists read from the letters of
+    a word, before the word is built, once their digits pass
+    ``MAX_WORD_DIGITS``."""
+    digits = 0
+    for num, den in (x for cs in coeffs for x in cs):
+        try:    # str() refuses past 4300 digits, so past the limit too
+            digits += len(str(abs(num))) + len(str(den))
+        except ValueError:
+            digits = MAX_WORD_DIGITS + 1
+        if digits > MAX_WORD_DIGITS:
+            raise ValueError(f"word letters have more than {MAX_WORD_DIGITS}"
+                             f" digits in all (MAX_WORD_DIGITS)")
 
 
 def word_from_json(doc: dict) -> SteinbergWord:
@@ -309,8 +367,8 @@ def word_from_json(doc: dict) -> SteinbergWord:
     for item in items:
         if not (isinstance(item, list) and len(item) in (3, 4)):
             raise ValueError(f"bad word letter {item!r}")
-    params = _scalars_from_json(ring, [item[2] for item in items])
-    _check_word_digits(ring, params)
+    params = _scalars_from_json(ring, [item[2] for item in items],
+                                _check_word_digits)
     letters = [((item[0], item[1]), param,
                 item[3] if len(item) == 4 else 1)
                for item, param in zip(items, params)]
@@ -342,20 +400,40 @@ def _simplex_level(doc: dict) -> int:
     return level
 
 
-def _bounded_polys(ring: PolyRing, docs: list) -> list:
-    return [Poly(ring, t) for t in _bounded_terms(ring, docs)]
-
-
 def _bounded_terms(ring: PolyRing, docs: list) -> list[dict]:
-    """The terms of the encoded polynomials of one document, refused
-    before any polynomial is built when their term bound exceeds
-    ``MAX_SIMPLEX_TERMS``."""
-    nvars = len(ring.variables)
-    terms = [_terms_from_json(ring, d) for d in docs]
+    """Exponent vector -> coefficient for each encoded polynomial of one
+    document, each coefficient over Q a ``_q_pair``; in one variable over
+    Q or F_p the key is the exponent alone, and over F_p the coefficient
+    an int in [0, p).  Refused before any polynomial is built when their
+    term bound exceeds ``MAX_SIMPLEX_TERMS``."""
+    base, nvars = ring.base, len(ring.variables)
+    dense = _stores_ints(ring)
+    read = (_q_pair if base is QQ else partial(_fp_int, base) if dense
+            else partial(scalar_from_json, base))
+    out = []
+    for doc in docs:
+        if not isinstance(doc, list):
+            raise ValueError(f"bad polynomial encoding {doc!r}")
+        terms = {}
+        for item in doc:
+            if not (isinstance(item, list) and len(item) == 2):
+                raise ValueError(f"bad polynomial term {item!r}")
+            exp, coeff = item
+            if dense:
+                k = exp[0] if isinstance(exp, list) and len(exp) == 1 else -1
+                ok = isinstance(k, int) and k >= 0
+            else:
+                ok = (isinstance(exp, list) and len(exp) == nvars
+                      and all(isinstance(k, int) and k >= 0 for k in exp))
+            if not ok:
+                raise ValueError(f"bad exponent vector {exp!r}")
+            # int() reads an exponent true as 1
+            terms[int(k) if dense else tuple(exp)] = read(coeff)
+        out.append(terms)
     bound = 0
-    for t in terms:
+    for t in out:
         if t:
-            deg = max(map(sum, t))
+            deg = max(t) if dense else max(map(sum, t))
             bound += comb(min(deg, MAX_SIMPLEX_TERMS) + nvars, nvars)
             if bound > MAX_SIMPLEX_TERMS:
                 raise ValueError(
@@ -363,7 +441,7 @@ def _bounded_terms(ring: PolyRing, docs: list) -> list[dict]:
                     f"(MAX_SIMPLEX_TERMS, counted as C(deg + v, v) per "
                     f"polynomial in v variables) with v = {nvars}, "
                     f"degree {deg}")
-    return terms
+    return out
 
 
 def simplex_poly_to_json(sp: SimplexPoly) -> dict:
@@ -378,7 +456,7 @@ def simplex_poly_to_json(sp: SimplexPoly) -> dict:
 def simplex_poly_from_json(doc: dict) -> SimplexPoly:
     level = _simplex_level(doc)
     field = parse_ring(doc["field"])
-    poly, = _bounded_polys(simplex_ring(field, level), [doc["poly"]])
+    poly, = _scalars_from_json(simplex_ring(field, level), [doc["poly"]])
     return SimplexPoly(field, level, poly)
 
 

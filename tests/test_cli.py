@@ -774,3 +774,36 @@ def test_finite_field_coefficients_must_be_integers(tmp_path, capsys, coeff):
     code, out, _ = _timed(tmp_path, capsys, ["factor"], doc)
     assert code == 2
     assert "bad finite-field encoding" in out["error"]
+
+
+def _poly_matrix(ring, entry):
+    return {"schema": serialize.SCHEMA_MATRIX, "n": 1, "ring": ring,
+            "entries": [[entry]]}
+
+
+@pytest.mark.parametrize("command, doc, error", [
+    ("factor", _poly_matrix("poly:Q:T", "1"), "bad polynomial encoding '1'"),
+    ("verify-loop", _poly_matrix("poly:Fq:7^1:T", [[[0], [1]], 3]),
+     "bad polynomial term 3"),
+    ("simplicial-face", {"schema": serialize.SCHEMA_SIMPLEX_POLY,
+                         "level": 2, "field": "Q", "poly": [[[0, 1]]]},
+     "bad polynomial term [[0, 1]]"),
+    ("factor", _poly_matrix("poly:Q:T", [[[-1], "1"]]),
+     "bad exponent vector [-1]"),
+    ("factor", _poly_matrix("poly:Q:X1,X2", [[[0], "1"]]),
+     "bad exponent vector [0]"),
+    ("factor", _poly_matrix("Q", 1.5), "bad rational encoding 1.5"),
+    ("k2-check", _word("poly:Q:T", [[[[1], [2]]]]),
+     "bad rational encoding [2]"),
+    ("factor", {"schema": serialize.SCHEMA_MATRIX, "n": 2, "ring": "Q",
+                "entries": [["1", "0"], ["0"]]},
+     "entry grid does not match declared size"),
+    ("k2-check", {"schema": serialize.SCHEMA_WORD, "n": 3, "ring": "Q",
+                  "letters": [[1, 2, "1", 1], [1, 2]]},
+     "bad word letter [1, 2]"),
+])
+def test_decoder_errors_name_the_bad_node_with_exit_2(tmp_path, capsys,
+                                                      command, doc, error):
+    argv = [command] + (["--i", "0"] if command == "simplicial-face" else [])
+    code, out, _ = _timed(tmp_path, capsys, argv, doc)
+    assert (code, out) == (2, {"error": error})

@@ -7,8 +7,9 @@ input documents replaced (huge, negative, boolean and float numbers,
 deep nesting, unknown schemas, bad ring descriptors and rationals,
 rationals past the entry digit limit, or
 a list of up to 30 copies of the node itself), a flag-driven
-subcommand with adversarial flag values, or ``k2-check`` on a long word
-over Q with many-digit letters.  Each call must
+subcommand with adversarial flag values, ``k2-check`` on a long word
+over Q with many-digit letters, or a path or word over Q[T] whose one
+polynomial has 4999 coefficients of 63-digit denominators.  Each call must
 exit 0, 1 or 2, print exactly one JSON document, let no exception
 escape and answer in under a second.  After every call a fixed golden
 case must still print its pinned bytes, so nothing leaks between calls
@@ -26,8 +27,9 @@ import pytest
 
 from chevloops import QQ, symbol_word
 from chevloops.cli import main
-from chevloops.serialize import (MAX_DOCUMENT_SIZE, MAX_WORD_DIGITS,
-                                 SCHEMA_WORD, word_to_json)
+from chevloops.serialize import (MAX_DOCUMENT_SIZE, MAX_SIMPLEX_TERMS,
+                                 MAX_WORD_DIGITS, SCHEMA_PATH, SCHEMA_WORD,
+                                 word_to_json)
 
 hypothesis = pytest.importorskip("hypothesis")
 st = hypothesis.strategies
@@ -267,3 +269,29 @@ def test_polynomial_coefficients_over_the_digit_limit_are_exit_2(tmp_path,
     assert code == 2
     assert "MAX_ENTRY_DIGITS" in json.loads(out)["error"]
     assert seconds < SECONDS
+
+
+def _wide_q_poly():
+    """4999 coefficients 1/d over Q[T], each d a random odd 63-digit
+    integer: the most terms ``MAX_SIMPLEX_TERMS`` admits in one entry."""
+    rng = random.Random("wide")
+    return [[[k], f"1/{rng.randrange(10 ** 62, 10 ** 63) | 1}"]
+            for k in range(MAX_SIMPLEX_TERMS - 1)]
+
+
+@pytest.mark.parametrize("command, limit", [
+    ("verify-loop", "MAX_ENTRY_DIGITS"), ("k2-check", "MAX_WORD_DIGITS")])
+def test_wide_q_documents_are_refused_before_their_denominator(tmp_path,
+                                                               command,
+                                                               limit):
+    # the common denominator of all 4999 coefficients has about 300,000
+    # digits: building it took 8.0 s (path) and 13.5 s (word) to refuse
+    poly = _wide_q_poly()
+    doc = ({"schema": SCHEMA_PATH, "n": 1, "ring": "poly:Q:T",
+            "entries": [[poly]]} if command == "verify-loop" else
+           {"schema": SCHEMA_WORD, "n": 3, "ring": "poly:Q:T",
+            "letters": [[1, 2, poly, 1]]})
+    code, out, seconds = _call(tmp_path, [command], {"--in": doc})
+    assert code == 2
+    assert limit in json.loads(out)["error"]
+    assert seconds < 0.5
