@@ -59,13 +59,11 @@ def _parse_scalar(field, text: str):
     try:
         if field is QQ:
             return serialize.parse_rational(text)
-        if isinstance(field, FiniteField):
-            if "," in text:
-                return field([int(c) for c in text.split(",")])
-            return field(int(text))
+        if "," in text:
+            return field([int(c) for c in text.split(",")])
+        return field(int(text))
     except (ValueError, ZeroDivisionError) as exc:
         raise InputError(f"bad scalar {text!r}: {exc}")
-    raise InputError(f"scalars must live in a field, not {field!r}")
 
 
 def _parse_base_field(desc: str):

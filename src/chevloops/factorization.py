@@ -52,8 +52,6 @@ def factor_elementary(m) -> list:
     ops: list = []   # row r_i += c * r_j, recorded as ((i, j), c), 1-based
 
     def row_op(i: int, j: int, c):
-        if not c:
-            return
         if addmul:
             rows[i] = [addmul(a, c, b) if b else a
                        for a, b in zip(rows[i], rows[j])]

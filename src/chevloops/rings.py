@@ -7,11 +7,13 @@ fields by coefficient vectors modulo a fixed irreducible polynomial.
 Polynomials in one variable (k[T], and k[D^1] in X1) are dense
 little-endian coefficient tuples: ints mod p over F_p, integer numerators
 over one shared denominator over Q, and field elements over F_{p^e};
-``Poly.addmul`` fuses a + x * f on that form.  Polynomials in zero or
-several variables map exponent vectors to nonzero coefficients.  Every
-ring map is a ``RingMap`` (values and monomial-image memo) that
-``Poly.substitute`` applies in one loop over the monomials of either form;
-``Poly.evaluate`` reads coefficients directly only at T = 0 and T = 1.
+``Poly.addmul`` fuses a + x * f on that form and is its only dense sum:
+``+`` is ``addmul`` by one.  Polynomials in zero or several variables map
+exponent vectors to nonzero coefficients.  Every ring map is a
+``RingMap`` (values, and a memo of monomial images built from their
+power ladders) that ``Poly.substitute`` applies in one loop over the
+monomials of either form; ``Poly.evaluate`` reads coefficients directly
+only at T = 0 and T = 1.
 """
 
 from __future__ import annotations
@@ -584,44 +586,22 @@ class Poly:
         ring = self.ring
         o = other if (other.__class__ is Poly and other.ring is ring) \
             else self._coerce(other)
-        kind = ring._kind
-        a, b = self._c, o._c
-        if kind is None:
+        a = self._c
+        if ring._kind is None:
             out = dict(a)
             zero = ring.base.zero
-            for e, c in b.items():
+            for e, c in o._c.items():
                 s = out.get(e, zero) + c
                 if s == zero:
                     out.pop(e, None)
                 else:
                     out[e] = s
             return _poly(ring, out)
-        if not b:
-            return self
         if not a:
             return o
-        if kind == "Q":
-            da, db = self._d, o._d
-            if da != db:
-                g = gcd(da, db)
-                ma, mb = db // g, da // g
-                a = [x * ma for x in a]
-                b = [y * mb for y in b]
-                da *= ma
-        if len(a) < len(b):
-            a, b = b, a
-        lb = len(b)
-        if kind == "p":
-            p = ring._p
-            c = [(x + y) % p for x, y in zip(a, b)]
-        else:
-            c = [x + y for x, y in zip(a, b)]
-        if kind == "Q":
-            c += a[lb:]
-            return _q_poly(ring, c, da)
-        if len(a) > lb:
-            return _poly(ring, tuple(c) + a[lb:])
-        return _poly(ring, _trim(c))
+        # o is coerced, so addmul runs its dense kernel, never its
+        # self + x * f fallback
+        return self.addmul(ring.one, o)
 
     __radd__ = __add__
 
@@ -907,9 +887,9 @@ class RingMap:
     Poly, coerced into ``target`` once, here.
 
     ``memo`` maps source exponent vectors to ready-to-add images, built on
-    a miss: over a term-dict target a tuple of (exponent vector,
-    coefficient) pairs, the coefficient None where it is the base field's
-    one; over a dense target the image Poly.
+    a miss from power ladders of ``values``: over a term-dict target a
+    tuple of (exponent vector, coefficient) pairs, the coefficient None
+    where it is the base field's one; over a dense target the image Poly.
     """
 
     __slots__ = ("source", "target", "values", "memo", "_image")
@@ -942,28 +922,17 @@ def _monomial_images(values: list, target: PolyRing):
     ``RingMap``) of that monomial when source variable k takes
     ``values[k]`` in ``target``.
 
-    Over a term-dict target a value that is one monomial with coefficient
-    one adds a multiple of its exponent vector; every other value (and
-    every value over a dense target) multiplies in a lazily grown power
-    ladder.
+    Each value has a lazily grown power ladder [1, v, v^2, ...]; the image
+    is the product of the powers the exponent vector picks, starting from
+    the first nonzero one.
     """
-    shifts = []      # (source index, [(target index, exponent), ...])
-    ladders = []     # (source index, [1, v, v^2, ...])
+    ladders = [[target.one, val] for val in values]
     multi = target._kind is None
     one = target.base.one
-    for k, val in enumerate(values):
-        if multi and len(val._c) == 1:
-            (te, tc), = val._c.items()
-            if tc == one:
-                shifts.append((k, [(j, a) for j, a in enumerate(te) if a]))
-                continue
-        ladders.append((k, [target.one, val]))
-    width = len(target.variables)
 
     def image(e):
         img = None
-        for k, ladder in ladders:
-            n = e[k]
+        for n, ladder in zip(e, ladders):
             if n:
                 while len(ladder) <= n:
                     ladder.append(ladder[-1] * ladder[1])
@@ -972,14 +941,7 @@ def _monomial_images(values: list, target: PolyRing):
             img = target.one
         if not multi:
             return img
-        s = [0] * width
-        for k, moves in shifts:
-            n = e[k]
-            if n:
-                for j, a in moves:
-                    s[j] += n * a
-        return tuple([(tuple([x + y for x, y in zip(te, s)]),
-                       None if tc == one else tc)
+        return tuple([(te, None if tc == one else tc)
                       for te, tc in img._c.items()])
     return image
 

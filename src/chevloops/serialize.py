@@ -130,7 +130,7 @@ def scalar_from_json(ring, doc):
             return parse_rational(str(doc))
         raise ValueError(f"bad rational encoding {doc!r}")
     if isinstance(ring, FiniteField):
-        if isinstance(doc, int):
+        if isinstance(doc, int) and not isinstance(doc, bool):
             return ring(doc)
         if isinstance(doc, list) and all(
                 isinstance(c, int) and not isinstance(c, bool) for c in doc):
@@ -421,14 +421,13 @@ def _bounded_terms(ring: PolyRing, docs: list) -> list[dict]:
             exp, coeff = item
             if dense:
                 k = exp[0] if isinstance(exp, list) and len(exp) == 1 else -1
-                ok = isinstance(k, int) and k >= 0
+                ok = k.__class__ is int and k >= 0
             else:
                 ok = (isinstance(exp, list) and len(exp) == nvars
-                      and all(isinstance(k, int) and k >= 0 for k in exp))
+                      and all(k.__class__ is int and k >= 0 for k in exp))
             if not ok:
                 raise ValueError(f"bad exponent vector {exp!r}")
-            # int() reads an exponent true as 1
-            terms[int(k) if dense else tuple(exp)] = read(coeff)
+            terms[k if dense else tuple(exp)] = read(coeff)
         out.append(terms)
     bound = 0
     for t in out:

@@ -52,16 +52,6 @@ class SparseIntMatrix:
         self.ncols = ncols
         self.entries = data
 
-    def __eq__(self, other):
-        if not isinstance(other, SparseIntMatrix):
-            return NotImplemented
-        return (self.nrows, self.ncols, self.entries) == \
-            (other.nrows, other.ncols, other.entries)
-
-    def __repr__(self):
-        return (f"SparseIntMatrix({self.nrows}x{self.ncols}, "
-                f"{len(self.entries)} nonzero)")
-
 
 class SNFResult(NamedTuple):
     invariant_factors: list[int]   # nonzero diagonal, d1 | d2 | ...

@@ -1,5 +1,6 @@
 """CLI: JSON in, JSON out, deterministic bytes, exit-code contract."""
 
+import io
 import json
 import math
 import os
@@ -801,9 +802,51 @@ def _poly_matrix(ring, entry):
     ("k2-check", {"schema": serialize.SCHEMA_WORD, "n": 3, "ring": "Q",
                   "letters": [[1, 2, "1", 1], [1, 2]]},
      "bad word letter [1, 2]"),
+    # JSON true/false are not the integers 1/0
+    ("factor", _poly_matrix("Fq:7^1", True), "bad finite-field encoding True"),
+    ("factor", _poly_matrix("poly:Fq:7^1:T", [[[0], True]]),
+     "bad finite-field encoding True"),
+    ("factor", _poly_matrix("poly:Q:T", [[[True], "1"]]),
+     "bad exponent vector [True]"),
+    ("factor", _poly_matrix("poly:Q:X1,X2", [[[True, False], "1"]]),
+     "bad exponent vector [True, False]"),
 ])
 def test_decoder_errors_name_the_bad_node_with_exit_2(tmp_path, capsys,
                                                       command, doc, error):
     argv = [command] + (["--i", "0"] if command == "simplicial-face" else [])
     code, out, _ = _timed(tmp_path, capsys, argv, doc)
     assert (code, out) == (2, {"error": error})
+
+
+def _symbol_loop(group="sl2", root="1,2", ring="Q"):
+    return ["symbol-loop", "--group", group, "--root", root, "--u", "2",
+            "--v", "3", "--ring", ring]
+
+
+@pytest.mark.parametrize("argv, stdin, code, error", [
+    (["factor", "--in", "{tmp}/missing.json"], None, 1, "cannot read input"),
+    (["factor", "--in", "-"],
+     json.dumps({"schema": serialize.SCHEMA_MATRIX, "n": 1, "ring": "Q",
+                 "entries": [["2"]]}), 2, "determinant is not 1"),
+    (_symbol_loop(root="1,x"), None, 1,
+     "root must be 'i,j' with integers, got '1,x'"),
+    (_symbol_loop(group="slx"), None, 1,
+     "group must be sl<n>, got 'slx'"),
+    (_symbol_loop(group="sl1"), None, 1,
+     "group size must be at least 2"),
+    (_symbol_loop(ring="poly:Q:T"), None, 1,
+     "'poly:Q:T' is not a field descriptor"),
+    (["simplicial-face", "--i", "0", "--in", "-"],
+     json.dumps({"schema": serialize.SCHEMA_MATRIX, "n": 1, "ring": "Q",
+                 "entries": [["1"]]}), 1,
+     f"expected a simplex document, got schema {serialize.SCHEMA_MATRIX!r}"),
+], ids=["unreadable-file", "stdin", "root-text", "group-text", "group-size",
+        "ring-not-a-field", "face-of-a-matrix"])
+def test_input_errors_name_the_problem(tmp_path, monkeypatch, capsys, argv,
+                                       stdin, code, error):
+    argv = [a.format(tmp=tmp_path) for a in argv]
+    if stdin is not None:
+        monkeypatch.setattr(sys, "stdin", io.StringIO(stdin))
+    got, out = _run(capsys, argv)
+    assert got == code
+    assert out["error"].startswith(error)

@@ -47,7 +47,8 @@ def _reference_terms(ring, doc) -> dict:
             raise ValueError(f"bad polynomial term {item!r}")
         exp, coeff = item
         if not (isinstance(exp, list) and len(exp) == nvars
-                and all(isinstance(k, int) and k >= 0 for k in exp)):
+                and all(isinstance(k, int) and not isinstance(k, bool)
+                        and k >= 0 for k in exp)):
             raise ValueError(f"bad exponent vector {exp!r}")
         terms[tuple(exp)] = ser.scalar_from_json(ring.base, coeff)
     return terms
@@ -148,8 +149,8 @@ def test_dense_reader_matches_the_term_dict_reader(name):
     _check_reader(ring, [[one, 5], [one, 4], [one, 0]])
     _check_reader(ring, [[one, 5], [one, "x"], [one, 1]])
     # the term bound counts a document's polynomials together: one past
-    # it, with every exponent vector of degree 1 spelled with true
-    flag = [True] + [False] * (len(one) - 1)
+    # it, with every exponent vector of degree 1
+    flag = [1] + [0] * (len(one) - 1)
     copies = ser.MAX_SIMPLEX_TERMS // (len(one) + 1) + 1
     _check_reader(ring, *[[[flag, 1]]] * copies)
 
