@@ -53,9 +53,6 @@ class RationalField:
             raise ZeroDivisionError("0 is not invertible in Q")
         return 1 / x
 
-    def elements(self):
-        raise ValueError("Q is infinite; cannot enumerate its elements")
-
     def descriptor(self) -> str:
         return "Q"
 
@@ -177,12 +174,6 @@ class FqElement:
         return FqElement(self.field, tuple(
             (a - b) % p for a, b in zip(self.coeffs, o.coeffs)))
 
-    def __rsub__(self, other):
-        o = self._check(other)
-        if o is None:
-            return NotImplemented
-        return o - self
-
     def __neg__(self):
         p = self.field.p
         return FqElement(self.field, tuple((-a) % p for a in self.coeffs))
@@ -203,12 +194,6 @@ class FqElement:
         if o is None:
             return NotImplemented
         return self * o.inverse()
-
-    def __rtruediv__(self, other):
-        o = self._check(other)
-        if o is None:
-            return NotImplemented
-        return o * self.inverse()
 
     def __pow__(self, k: int):
         if not isinstance(k, int):
@@ -530,31 +515,27 @@ class Poly:
         self.ring = ring
         self._hash = None
         self._d = 1
-        if ring._kind is None:
-            out = {}
-            for e, c in terms.items():
-                c = base(c)
-                if c:
-                    out[e] = c
-            self._c = out
-            return
-        dense = {}
+        nvars, multi = len(ring.variables), ring._kind is None
+        out = {}
         for e, c in terms.items():
-            if not (isinstance(e, tuple) and len(e) == 1
-                    and isinstance(e[0], int) and e[0] >= 0):
+            if not (isinstance(e, tuple) and len(e) == nvars
+                    and all(k.__class__ is int and k >= 0 for k in e)):
                 raise ValueError(f"bad exponent vector {e!r} for {ring!r}")
             c = base(c)
             if c:
-                dense[e[0]] = c
-        c = [ring._zero_c] * (max(dense) + 1 if dense else 0)
-        if ring._kind == "Q" and dense:
+                out[e if multi else e[0]] = c
+        if multi:
+            self._c = out
+            return
+        c = [ring._zero_c] * (max(out) + 1 if out else 0)
+        if ring._kind == "Q" and out:
             # over the lcm of reduced denominators the numerators are
             # already coprime to it
-            self._d = lcm(*(x.denominator for x in dense.values()))
-            for k, x in dense.items():
+            self._d = lcm(*(x.denominator for x in out.values()))
+            for k, x in out.items():
                 c[k] = x.numerator * (self._d // x.denominator)
         else:
-            for k, x in dense.items():
+            for k, x in out.items():
                 c[k] = x.coeffs[0] if ring._kind == "p" else x
         self._c = tuple(c)
 
@@ -964,25 +945,21 @@ def poly_divmod(f: Poly, g: Poly) -> tuple[Poly, Poly]:
     kind = ring._kind
     rem = list(a)
     quo = [0] * (len(a) - dg)
-    if kind == "p":
+    if kind != "Q":
+        # over a field: the stored ints of F_p are reduced in the quotient
+        # and, once at the end, in the remainder
         p = ring._p
-        inv = pow(b[-1], -1, p)
-        for i in range(len(a) - 1, dg - 1, -1):
-            c = rem[i] * inv % p
-            quo[i - dg] = c
-            if c:
-                for k in range(dg):
-                    rem[i - dg + k] = (rem[i - dg + k] - c * b[k]) % p
-        return _poly(ring, _trim(quo)), _poly(ring, _trim(rem[:dg]))
-    if kind == "q":
-        inv = b[-1].inverse()
+        inv = b[-1].inverse() if p is None else pow(b[-1], -1, p)
         for i in range(len(a) - 1, dg - 1, -1):
             c = rem[i] * inv
+            if p is not None:
+                c %= p
             quo[i - dg] = c
             if c:
                 for k in range(dg):
-                    rem[i - dg + k] = rem[i - dg + k] - c * b[k]
-        return _poly(ring, _trim(quo)), _poly(ring, _trim(rem[:dg]))
+                    rem[i - dg + k] -= c * b[k]
+        rem = rem[:dg] if p is None else [x % p for x in rem[:dg]]
+        return _poly(ring, _trim(quo)), _poly(ring, _trim(rem))
     # Q: fraction-free division of the numerators.  Each step scales the
     # running remainder and quotient by m so that the leading term divides
     # exactly; s collects the scalings, so s*a = quo*b + rem at the end.

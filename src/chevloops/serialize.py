@@ -126,7 +126,7 @@ def scalar_to_json(ring, x):
 
 def scalar_from_json(ring, doc):
     if ring is QQ:
-        if isinstance(doc, (str, int)):
+        if isinstance(doc, (str, int)) and not isinstance(doc, bool):
             return parse_rational(str(doc))
         raise ValueError(f"bad rational encoding {doc!r}")
     if isinstance(ring, FiniteField):
@@ -236,22 +236,24 @@ MAX_DOCUMENT_SIZE = 28
 MAX_DOCUMENT_WORK = 2 * MAX_DOCUMENT_SIZE ** 3
 
 
-def _declared_size(doc: dict) -> int:
-    """The n a matrix, path, simplex-matrix or word document declares,
-    refused past ``MAX_DOCUMENT_SIZE`` before any entry is built."""
-    n = doc["n"]
-    if isinstance(n, bool) or not isinstance(n, int):
-        raise ValueError(f"matrix size must be an integer, got {n!r}")
-    if not 0 <= n <= MAX_DOCUMENT_SIZE:
-        raise ValueError(f"matrix size {n} is outside 0..{MAX_DOCUMENT_SIZE}"
-                         f" (MAX_DOCUMENT_SIZE)")
-    return n
+def _declared_int(doc: dict, key: str = "n", noun: str = "matrix size",
+                  limit: str = "MAX_DOCUMENT_SIZE") -> int:
+    """``doc[key]``, an int in 0..the limit named ``limit``, refused before
+    any entry is built: by default the n a matrix, path, simplex-matrix or
+    word document declares."""
+    x = doc[key]
+    if isinstance(x, bool) or not isinstance(x, int):
+        raise ValueError(f"{noun} must be an integer, got {x!r}")
+    top = globals()[limit]
+    if not 0 <= x <= top:
+        raise ValueError(f"{noun} {x} is outside 0..{top} ({limit})")
+    return x
 
 
 def check_document_work(docs, rounds: int = 1):
     """Refuse a list of matrix documents, before any is built, when
     ``rounds`` times the sum of n^3 exceeds ``MAX_DOCUMENT_WORK``."""
-    work = rounds * sum(_declared_size(d) ** 3 for d in docs)
+    work = rounds * sum(_declared_int(d) ** 3 for d in docs)
     if work > MAX_DOCUMENT_WORK:
         raise ValueError(f"documents need {work} units of work, over "
                          f"{MAX_DOCUMENT_WORK} (MAX_DOCUMENT_WORK, counted "
@@ -287,7 +289,7 @@ def _entry_rows(ring, doc: dict) -> list[list]:
     """The rows of a matrix or simplex-matrix document over ``ring``; over
     Q, or over Q[...] with every coefficient of a row counted, refused
     unless each row fits ``MAX_ENTRY_DIGITS``."""
-    n = _declared_size(doc)
+    n = _declared_int(doc)
     entries = doc["entries"]
     if not (isinstance(entries, list) and len(entries) == n
             and all(isinstance(r, list) and len(r) == n for r in entries)):
@@ -360,8 +362,23 @@ def _check_word_digits(coeffs: list[list]):
                              f" digits in all (MAX_WORD_DIGITS)")
 
 
+def _check_word_terms(ring: PolyRing, params: list):
+    """Refuse the letters of a word, before the word is built, when the
+    product they multiply out to could pass ``MAX_SIMPLEX_TERMS``: its
+    entries have total degree at most the sum D of the letter degrees, so
+    at most C(D + v, v) terms in v variables.  Over k[T] the per-letter
+    count of ``_bounded_terms`` already implies this bound."""
+    nvars = len(ring.variables)
+    deg = sum(p.degree() for p in params if p)
+    if comb(min(deg, MAX_SIMPLEX_TERMS) + nvars, nvars) > MAX_SIMPLEX_TERMS:
+        raise ValueError(
+            f"word multiplies out to more than {MAX_SIMPLEX_TERMS} terms "
+            f"(MAX_SIMPLEX_TERMS, counted as C(D + v, v) for letter degrees "
+            f"summing to D in v variables) with v = {nvars}, D = {deg}")
+
+
 def word_from_json(doc: dict) -> SteinbergWord:
-    n = _declared_size(doc)
+    n = _declared_int(doc)
     ring = parse_ring(doc["ring"])
     items = doc["letters"]
     for item in items:
@@ -369,6 +386,8 @@ def word_from_json(doc: dict) -> SteinbergWord:
             raise ValueError(f"bad word letter {item!r}")
     params = _scalars_from_json(ring, [item[2] for item in items],
                                 _check_word_digits)
+    if isinstance(ring, PolyRing):
+        _check_word_terms(ring, params)
     letters = [((item[0], item[1]), param,
                 item[3] if len(item) == 4 else 1)
                for item, param in zip(items, params)]
@@ -386,18 +405,11 @@ MAX_SIMPLEX_LEVEL = 64
 # may have, counted as C(deg + v, v) for each polynomial of total degree deg
 # in v variables (deg + 1 over k[T]).  That bounds the stored form (dense
 # in one variable) and, for a simplex, every face image, which lives one
-# level lower.
+# level lower.  A word's letters are also counted together as one
+# polynomial of their summed degree, the most its product can reach (see
+# ``_check_word_terms``): in ten variables that admits 5 linear letters
+# (0.06 s), where 18 took 15-29 s to multiply out.
 MAX_SIMPLEX_TERMS = 5000
-
-
-def _simplex_level(doc: dict) -> int:
-    level = doc["level"]
-    if isinstance(level, bool) or not isinstance(level, int):
-        raise ValueError(f"simplex level must be an integer, got {level!r}")
-    if not 0 <= level <= MAX_SIMPLEX_LEVEL:
-        raise ValueError(f"simplex level {level} is outside 0.."
-                         f"{MAX_SIMPLEX_LEVEL} (MAX_SIMPLEX_LEVEL)")
-    return level
 
 
 def _bounded_terms(ring: PolyRing, docs: list) -> list[dict]:
@@ -453,7 +465,7 @@ def simplex_poly_to_json(sp: SimplexPoly) -> dict:
 
 
 def simplex_poly_from_json(doc: dict) -> SimplexPoly:
-    level = _simplex_level(doc)
+    level = _declared_int(doc, "level", "simplex level", "MAX_SIMPLEX_LEVEL")
     field = parse_ring(doc["field"])
     poly, = _scalars_from_json(simplex_ring(field, level), [doc["poly"]])
     return SimplexPoly(field, level, poly)
@@ -471,7 +483,7 @@ def simplex_matrix_to_json(sm: SimplexMatrix) -> dict:
 
 
 def simplex_matrix_from_json(doc: dict) -> SimplexMatrix:
-    level = _simplex_level(doc)
+    level = _declared_int(doc, "level", "simplex level", "MAX_SIMPLEX_LEVEL")
     ring = simplex_ring(parse_ring(doc["field"]), level)
     return SimplexMatrix(ring.base, level,
                          GroupMatrix(ring, _entry_rows(ring, doc)))

@@ -287,3 +287,15 @@ def test_dense_8x8_inverse_over_q_t_is_fast():
     inv = m.inverse()
     assert time.perf_counter() - t0 < 1.0
     assert (m * inv).is_identity() and (inv * m).is_identity()
+
+
+@pytest.mark.parametrize("call, message", [
+    (lambda: GroupMatrix(QQ, [[1, 0]]), "matrix must be square"),
+    (lambda: eval_matrix(
+        GroupMatrix.identity(PolyRing(QQ, ("X", "Y")), 2), 0),
+     "eval_matrix needs a matrix over a univariate ring"),
+], ids=["not-square", "eval-over-k[X,Y]"])
+def test_matrix_refusals_name_the_problem(call, message):
+    with pytest.raises(ValueError) as err:
+        call()
+    assert str(err.value) == message

@@ -6,6 +6,7 @@ import math
 import os
 import pathlib
 import random
+import runpy
 import subprocess
 import sys
 import time
@@ -427,13 +428,14 @@ def test_group_size_is_capped(capsys):
     def argv(n):
         return ["symbol-loop", "--group", f"sl{n}", "--root", f"1,{n}",
                 "--u", "2", "--v", "3", "--ring", "Q"]
+    # the refusal first: a slow traced run of sl256 must not skip it
+    code, doc = _run(capsys, argv(cli.MAX_MATRIX_SIZE + 1))
+    assert code == 2
+    assert "MAX_MATRIX_SIZE" in doc["error"]
     t0 = time.perf_counter()
     assert main(argv(cli.MAX_MATRIX_SIZE)) == 0
     assert time.perf_counter() - t0 < 1.0
     capsys.readouterr()
-    code, doc = _run(capsys, argv(cli.MAX_MATRIX_SIZE + 1))
-    assert code == 2
-    assert "MAX_MATRIX_SIZE" in doc["error"]
 
 
 def test_domain_errors_are_exit_2(tmp_path, capsys):
@@ -459,6 +461,21 @@ def test_output_bytes_are_deterministic(capsys):
     assert main(argv) == 0
     second = capsys.readouterr().out
     assert first == second
+
+
+def test_the_module_runs_as_a_program(monkeypatch, capsys):
+    # python -m chevloops.cli, in this process; a fresh module object, so
+    # that runpy does not find the imported one
+    argv = ["symbol-loop", "--group", "sl3", "--root", "1,3", "--u", "2/7",
+            "--v=-3/5", "--ring", "Q"]
+    assert main(argv) == 0
+    expected = capsys.readouterr().out
+    monkeypatch.setattr(sys, "argv", ["chevloops.cli"] + argv)
+    monkeypatch.delitem(sys.modules, "chevloops.cli")
+    with pytest.raises(SystemExit) as done:
+        runpy.run_module("chevloops.cli", run_name="__main__")
+    assert done.value.code == 0
+    assert capsys.readouterr().out == expected
 
 
 def test_reproduce_wiring(monkeypatch, capsys):
@@ -680,6 +697,27 @@ def test_word_letters_over_the_digit_limit_are_exit_2(tmp_path, capsys):
         assert (code, out["reduced_length"]) == (0, 1)
 
 
+def test_multivariate_words_are_priced_by_their_product(tmp_path, capsys):
+    # linear letters Y0 + ... + Y9 multiply out towards C(20, 10) monomials;
+    # 18 of them took 15-29 s before the product was priced
+    ring = "poly:Fq:7^1:" + ",".join(f"Y{i}" for i in range(10))
+    letter = [[[int(i == k) for i in range(10)], [1]] for k in range(10)]
+    code, out, seconds = _timed(tmp_path, capsys, ["k2-check"],
+                                _word(ring, [letter] * 18))
+    assert (code, out) == (2, {"error": (
+        "word multiplies out to more than 5000 terms (MAX_SIMPLEX_TERMS, "
+        "counted as C(D + v, v) for letter degrees summing to D in v "
+        "variables) with v = 10, D = 18")})
+    assert seconds < 0.1
+    # C(5 + 10, 10) = 3003 terms are admitted, C(6 + 10, 10) = 8008 not
+    code, out, _ = _timed(tmp_path, capsys, ["k2-check"],
+                          _word(ring, [letter] * 5))
+    assert (code, out["reduced_length"]) == (0, 5)
+    code, out, _ = _timed(tmp_path, capsys, ["k2-check"],
+                          _word(ring, [letter] * 6))
+    assert code == 2 and "MAX_SIMPLEX_TERMS" in out["error"]
+
+
 def test_verify_identity_work_is_capped(tmp_path, capsys):
     n = serialize.MAX_DOCUMENT_SIZE
     big = {"schema": serialize.SCHEMA_MATRIX, "n": n, "ring": "Q",
@@ -810,6 +848,9 @@ def _poly_matrix(ring, entry):
      "bad exponent vector [True]"),
     ("factor", _poly_matrix("poly:Q:X1,X2", [[[True, False], "1"]]),
      "bad exponent vector [True, False]"),
+    ("factor", _poly_matrix("Q", True), "bad rational encoding True"),
+    ("factor", _poly_matrix("poly:Q:T", [[[0], True]]),
+     "bad rational encoding True"),
 ])
 def test_decoder_errors_name_the_bad_node_with_exit_2(tmp_path, capsys,
                                                       command, doc, error):

@@ -131,3 +131,12 @@ def test_path_to_steinberg_requires_based_path():
     m = elem((1, 2), ring(Fraction(1)), 2, ring)   # constant, not based
     with pytest.raises(ValueError):
         path_to_steinberg(PathMatrix(m))
+
+
+def test_a_singular_matrix_is_refused():
+    # _checked skips the determinant check that would refuse it sooner
+    ring = path_ring(QQ)
+    m = GroupMatrix(ring, [[ring.zero] * 2] * 2, _checked=True)
+    with pytest.raises(ValueError) as err:
+        factor_elementary(m)
+    assert str(err.value) == "matrix is singular; determinant cannot be 1"

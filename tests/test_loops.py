@@ -5,9 +5,9 @@ from fractions import Fraction
 
 import pytest
 
-from chevloops import (GF, PolyRing, QQ, c_loop, h_elem, h_loop,
-                       identity_path, path_ring, sl2_closed_form,
-                       verify_path_identity, w_loop, x_loop)
+from chevloops import (GF, GroupMatrix, PathMatrix, PolyRing, QQ, c_loop,
+                       h_elem, h_loop, identity_path, path_ring,
+                       sl2_closed_form, verify_path_identity, w_loop, x_loop)
 
 
 def _units(field, rng, count):
@@ -155,3 +155,10 @@ def test_verify_path_identity_refutes_h_commutation():
 def test_verify_path_identity_size_mismatch():
     with pytest.raises(ValueError):
         verify_path_identity([identity_path(QQ, 2)], [identity_path(QQ, 3)])
+
+
+def test_paths_live_over_one_variable():
+    m = GroupMatrix.identity(PolyRing(QQ, ("X", "Y")), 2)
+    with pytest.raises(ValueError) as err:
+        PathMatrix(m)
+    assert str(err.value) == "a path must live over a univariate ring k[T]"

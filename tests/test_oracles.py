@@ -10,8 +10,9 @@ from fractions import Fraction
 
 import pytest
 
-from chevloops import (GF, GroupMatrix, elem, milnor_k2_finite_field,
-                       prime_factors, schur_multiplier, tame_symbol)
+from chevloops import (AbelianGroupPresentation, GF, GroupMatrix, elem,
+                       milnor_k2_finite_field, prime_factors, schur_multiplier,
+                       tame_symbol)
 from chevloops.rings import MAX_PRIME_TEST
 from chevloops.snf import SparseIntMatrix, smith_normal_form
 
@@ -262,3 +263,22 @@ def test_schur_presentation_shape():
     assert len(pres.generators) == 1
     assert pres.relations.entries == {(0, 0): 2}
     assert "oracle" in pres.metadata["note"]
+
+
+def _no_relations(ncols):
+    relations = SparseIntMatrix(0, ncols, [])
+    return relations, smith_normal_form(relations)
+
+
+@pytest.mark.parametrize("call, message", [
+    (lambda: AbelianGroupPresentation(["a"], *_no_relations(2)),
+     "relation matrix width must match generators"),
+    (lambda: schur_multiplier([GroupMatrix.identity(GF(2), 2),
+                               GroupMatrix.identity(GF(3), 2)]),
+     "generators must share one ring and size"),
+    (lambda: schur_multiplier([]), "at least one generator is required"),
+], ids=["relation-width", "mixed-generators", "no-generators"])
+def test_oracle_refusals_name_the_problem(call, message):
+    with pytest.raises(ValueError) as err:
+        call()
+    assert str(err.value) == message

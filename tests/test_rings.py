@@ -292,3 +292,55 @@ def test_construction_refuses_bad_exponents_in_one_variable():
     for exp in [(-1,), (1, 0), 2]:
         with pytest.raises(ValueError):
             Poly(ring, {exp: 1})
+
+
+Q_XY = PolyRing(QQ, ("X", "Y"))
+
+
+@pytest.mark.parametrize("ring, exp", [
+    (Q_XY, (-1, 0)), (Q_XY, (1,)), (Q_XY, (True, False)),
+    (PolyRing(QQ, ("T",)), (True,)),
+], ids=["negative", "short", "bools", "bool-in-one-variable"])
+def test_construction_refuses_exponent_vectors_that_are_not_the_variables(
+        ring, exp):
+    with pytest.raises(ValueError) as err:
+        Poly(ring, {exp: 1})
+    assert str(err.value) == f"bad exponent vector {exp!r} for {ring!r}"
+
+
+def _ring_errors():
+    q_t = PolyRing(QQ, ("T",))
+    t = q_t.gen("T")
+    return {
+        "divmod-of-scalars": (lambda: poly_divmod(1, t), ValueError,
+                              "poly_divmod expects polynomials"),
+        "negative-power": (lambda: t ** -1, ValueError,
+                           "polynomial powers must be nonnegative integers"),
+        "constant-value": (lambda: (t + 1).constant_value(), ValueError,
+                           "T + 1 is not constant"),
+        "leading-coefficient": (
+            lambda: Q_XY.gen("X").leading_coefficient(), ValueError,
+            "leading coefficient needs a univariate ring"),
+        "invert-non-unit": (lambda: q_t.invert(t), ZeroDivisionError,
+                            "T is not a unit of Q[T]"),
+        "foreign-polynomial": (
+            lambda: q_t(PolyRing(GF(7), ("T",)).gen("T")), ValueError,
+            "polynomial of GF(7)[T] is not in Q[T]"),
+        "prime-field-gen": (lambda: GF(7).gen(), ValueError,
+                            "prime fields have no distinguished generator"),
+        # FqElement has no reflected - or /
+        "int-minus-fq": (lambda: 3 - GF(7)(2), TypeError,
+                         "unsupported operand type(s) for -: 'int' and "
+                         "'FqElement'"),
+        "int-over-fq": (lambda: 3 / GF(7)(2), TypeError,
+                        "unsupported operand type(s) for /: 'int' and "
+                        "'FqElement'"),
+    }
+
+
+@pytest.mark.parametrize("case", sorted(_ring_errors()))
+def test_ring_refusals_name_the_problem(case):
+    call, exc, message = _ring_errors()[case]
+    with pytest.raises(exc) as err:
+        call()
+    assert str(err.value) == message

@@ -5,8 +5,10 @@ from fractions import Fraction
 
 import pytest
 
-from chevloops import (GF, Poly, PolyRing, QQ, SimplexPoly, SteinbergWord,
-                       c_loop, elem, simplex_ring, symbol_word)
+from chevloops import (AbelianGroupPresentation, GF, GroupMatrix, Poly,
+                       PolyRing, QQ, SimplexMatrix, SimplexPoly,
+                       SparseIntMatrix, SteinbergWord, c_loop, elem, in_k2,
+                       simplex_ring, smith_normal_form, symbol_word)
 from chevloops import serialize as ser
 
 
@@ -128,3 +130,109 @@ def test_simplex_matrix_roundtrip():
     doc = ser.simplex_matrix_to_json(sm)
     assert ser.simplex_matrix_from_json(doc) == sm
 
+
+
+@pytest.mark.parametrize("call, message", [
+    (lambda: ser.parse_ring("Fq:x"), "bad finite-field descriptor 'Fq:x'"),
+    (lambda: ser.parse_ring("poly:Q:,"),
+     "no variables in descriptor 'poly:Q:,'"),
+    (lambda: ser.scalar_to_json(None, 1), "cannot serialize over None"),
+    (lambda: ser.scalar_from_json(None, 1), "cannot deserialize over None"),
+    (lambda: ser.scalar_from_json(QQ, True), "bad rational encoding True"),
+], ids=["finite-field", "no-variables", "serialize", "deserialize",
+        "rational-bool"])
+def test_serializer_refusals_name_the_problem(call, message):
+    with pytest.raises(ValueError) as err:
+        call()
+    assert str(err.value) == message
+
+
+class _Raises:
+    def __init__(self, exc, message):
+        self.exc, self.message = exc, message
+
+
+def _value_semantics():
+    q_t = PolyRing(QQ, ("T",))
+    t = q_t.gen("T")
+    f7_xy = PolyRing(GF(7), ("X", "Y"))
+    x, y = f7_xy.gens()
+    m = elem((1, 2), Fraction(1, 2), 2, QQ)
+    path = c_loop((1, 2), 2, 3, 2, QQ)
+    sp = SimplexPoly(QQ, 2, 3 * simplex_ring(QQ, 2).gen("X1") + 1)
+    sm = SimplexMatrix(GF(7), 1, GroupMatrix.identity(simplex_ring(GF(7), 1),
+                                                      2))
+    w = SteinbergWord(QQ, 3, [((1, 2), Fraction(1, 2)), ((2, 3), -1)])
+    relations = SparseIntMatrix(1, 2, [(0, 0, 2)])
+    group = AbelianGroupPresentation(["a", "b"], relations,
+                                     smith_normal_form(relations))
+    a = GF(7)(3)
+
+    def times(op):
+        return _Raises(TypeError, f"unsupported operand type(s) for {op}: "
+                                  f"'FqElement' and 'str'")
+    return {
+        "str-GroupMatrix": (lambda: str(m), "[1, 1/2]\n[0, 1]"),
+        "repr-GroupMatrix": (lambda: repr(m), "GroupMatrix(2x2 over Q)"),
+        "repr-PathMatrix": (lambda: repr(path), "PathMatrix(2x2 over Q[T])"),
+        "repr-SimplexPoly": (lambda: repr(sp),
+                             "SimplexPoly(level=2, 3*X1 + 1)"),
+        "repr-SimplexMatrix": (
+            lambda: repr(sm),
+            "SimplexMatrix(level=1, GroupMatrix(2x2 over GF(7)[X1]))"),
+        "str-SteinbergWord": (lambda: str(w), "x[1,2](1/2) * x[2,3](-1)"),
+        "str-empty-SteinbergWord": (
+            lambda: str(SteinbergWord.identity(QQ, 3)), "1"),
+        "repr-SteinbergWord": (
+            lambda: repr(w), "SteinbergWord(x[1,2](1/2) * x[2,3](-1))"),
+        "repr-AbelianGroupPresentation": (
+            lambda: repr(group), "AbelianGroupPresentation(Z^1 x Z/2)"),
+        "repr-FqElement": (lambda: repr(GF(9).gen()), "GF(9)([0, 1])"),
+        "repr-Poly": (lambda: repr(3 * x ** 2 + x * y),
+                      "Poly(3*X^2 + X*Y)"),
+        "eq-object": (lambda: [v == object() for v in (
+            a, t, m, path, sp, sm, w)], [False] * 7),
+        "GroupMatrix-times-int": (lambda: m * 3, _Raises(
+            TypeError, "unsupported operand type(s) for *: 'GroupMatrix' "
+                       "and 'int'")),
+        "PathMatrix-times-int": (lambda: path * 3, _Raises(
+            TypeError, "unsupported operand type(s) for *: 'PathMatrix' "
+                       "and 'int'")),
+        "FqElement-plus-str": (lambda: a + "1", times("+")),
+        "FqElement-minus-str": (lambda: a - "1", times("-")),
+        "FqElement-over-str": (lambda: a / "1", times("/")),
+        "FqElement-to-a-str": (lambda: a ** "1", _Raises(
+            TypeError, "unsupported operand type(s) for ** or pow(): "
+                       "'FqElement' and 'str'")),
+        "hash-term-dict-Poly": (
+            lambda: hash(Poly(f7_xy, {(1, 1): 1, (2, 0): 3}))
+            == hash(3 * x ** 2 + x * y), True),
+        "hash-PathMatrix": (
+            lambda: hash(path) == hash(c_loop((1, 2), 2, 3, 2, QQ)), True),
+        "hash-SteinbergWord": (
+            lambda: hash(w) == hash(SteinbergWord(QQ, 3, [
+                ((1, 2), Fraction(1, 2)), ((2, 3), 1, -1)])), True),
+        "hash-SimplexPoly": (
+            lambda: hash(sp) == hash(ser.simplex_poly_from_json(
+                ser.simplex_poly_to_json(sp))), True),
+        "FqElement-plus-int": (lambda: a + 4, GF(7)(0)),
+        "FqElement-eq-int": (lambda: (a == 3, a == 4), (True, False)),
+        "Poly-eq-scalar": (lambda: (3 * q_t.one == 3, t == 3),
+                           (True, False)),
+        "symbol-word-over-Q[T]": (
+            lambda: in_k2(symbol_word((1, 2), 2, 3, 3, q_t)), True),
+        "symbol-word-of-T": (lambda: symbol_word((1, 2), t, 3, 3, q_t),
+                             _Raises(ZeroDivisionError,
+                                     "symbol words need invertible u and v")),
+    }
+
+
+@pytest.mark.parametrize("case", sorted(_value_semantics()))
+def test_value_classes_print_compare_and_hash(case):
+    call, expected = _value_semantics()[case]
+    if isinstance(expected, _Raises):
+        with pytest.raises(expected.exc) as err:
+            call()
+        assert str(err.value) == expected.message
+    else:
+        assert call() == expected

@@ -2,6 +2,7 @@
 
 import random
 from fractions import Fraction
+from types import SimpleNamespace
 
 import pytest
 
@@ -10,6 +11,7 @@ from chevloops import (GF, GroupMatrix, PathMatrix, PolyRing, QQ,
                        face, moore_is_loop, path_ring, path_to_simplex,
                        simplex_ring, simplex_to_path, verify_homotopy_witness,
                        x_loop, identity_path)
+from chevloops import simplicial
 from chevloops.simplicial import _structure_map
 
 
@@ -202,3 +204,64 @@ def test_canonical_coordinates_never_mention_x0():
     x0 = ring.one - x1 - x2
     f = x0 * x1 + x2 ** 2
     assert set(f.ring.variables) == {"X1", "X2"}
+
+
+def _simplicial_errors():
+    r1, r2 = simplex_ring(QQ, 1), simplex_ring(QQ, 2)
+    sigma = SimplexMatrix(QQ, 2, GroupMatrix.identity(r2, 2))
+    const = path_to_simplex(identity_path(QQ, 2))
+    not_a_simplex = SimpleNamespace(field=QQ, level=1)
+    return {
+        "negative-level": (lambda: simplex_ring(QQ, -1),
+                           "simplex level must be nonnegative"),
+        "matrix-ring": (
+            lambda: SimplexMatrix(QQ, 2, GroupMatrix.identity(r1, 2)),
+            "matrix ring Q[X1] is not the level-2 simplex ring"),
+        "face-of-a-non-simplex": (
+            lambda: face(0, not_a_simplex),
+            f"cannot take faces of {not_a_simplex!r}"),
+        "degeneracy-of-a-non-simplex": (
+            lambda: degeneracy(0, not_a_simplex),
+            f"cannot take degeneracies of {not_a_simplex!r}"),
+        "degeneracy-index": (
+            lambda: degeneracy(2, SimplexPoly(QQ, 1, r1.one)),
+            "degeneracy index 2 out of range for level 1"),
+        "level-2-to-path": (lambda: simplex_to_path(sigma),
+                            "only level-1 simplices are paths"),
+        "level-2-loop": (lambda: moore_is_loop(sigma),
+                         "loops live at level 1"),
+        "level-1-witness": (
+            lambda: verify_homotopy_witness(const, const, const),
+            "a homotopy witness lives at level 2"),
+        "witness-field": (
+            lambda: verify_homotopy_witness(
+                sigma, *[path_to_simplex(identity_path(GF(7), 2))] * 2),
+            "witness and loops must share one base field"),
+        "witness-size": (
+            lambda: verify_homotopy_witness(
+                sigma, *[path_to_simplex(identity_path(QQ, 3))] * 2),
+            "witness and loops must have matching matrix size"),
+    }
+
+
+@pytest.mark.parametrize("case", sorted(_simplicial_errors()))
+def test_simplicial_refusals_name_the_problem(case):
+    call, message = _simplicial_errors()[case]
+    with pytest.raises(ValueError) as err:
+        call()
+    assert str(err.value) == message
+
+
+def test_a_certified_boundary_that_is_no_loop_is_an_internal_error(
+        monkeypatch):
+    # the simplicial identities make the boundary a loop, so only broken
+    # face maps could fail that check; a moore_is_loop that refuses the
+    # boundary stands in for them
+    sigma = SimplexMatrix(QQ, 2, GroupMatrix.identity(simplex_ring(QQ, 2), 2))
+    const = path_to_simplex(identity_path(QQ, 2))
+    real = simplicial.moore_is_loop
+    monkeypatch.setattr(simplicial, "moore_is_loop",
+                        lambda g: g is const and real(g))
+    with pytest.raises(RuntimeError) as err:
+        verify_homotopy_witness(sigma, const, const)
+    assert str(err.value) == "certified boundary is not a loop"

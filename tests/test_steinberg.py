@@ -166,3 +166,16 @@ def test_word_construction_errors():
     with pytest.raises(ValueError):
         (SteinbergWord(QQ, 3, [((1, 2), 1)])
          * SteinbergWord(GF(5), 3, [((1, 2), 1)]))
+
+
+@pytest.mark.parametrize("call, message", [
+    (lambda: SteinbergWord(QQ, 3, [((1, 2), 1, 2)]),
+     "letter sign must be +-1, got 2"),
+    (lambda: SteinbergWord(QQ, 1, []), "word size must be at least 2, got 1"),
+    (lambda: SteinbergWord(QQ, 3, []) * 3,
+     "can only multiply Steinberg words"),
+], ids=["letter-sign", "word-size", "times-a-non-word"])
+def test_word_refusals_name_the_problem(call, message):
+    with pytest.raises(ValueError) as err:
+        call()
+    assert str(err.value) == message
