@@ -6,7 +6,10 @@ only (each one an elementary factor).  Over k[T] the pivot in the active
 column is the nonzero entry of minimal degree, ties broken by lowest row
 index, so every reduction pass strictly decreases degrees and the
 elimination terminates; over a field the same code runs with everything
-at degree zero.  The terminal diagonal diag(d1, ..., dn) has constant
+at degree zero.  A row operation r_i -= f r_j is recorded as the factor
+x_(i,j)(f) it removes, and writes the entry it is known to leave (the
+Euclidean remainder below the diagonal, zero above it) instead of
+computing it.  The terminal diagonal diag(d1, ..., dn) has constant
 entries with product 1 and is expanded through the six-letter identity
 h(u) = w(u) w(1)^{-1}, keeping every emitted factor an honest x_(i,j)(f).
 """
@@ -49,19 +52,23 @@ def factor_elementary(m) -> list:
     n = mat.n
     one = ring.one
     rows = [list(r) for r in mat.rows]
-    ops: list = []   # row r_i += c * r_j, recorded as ((i, j), c), 1-based
+    ops: list = []   # factors x_(i,j)(param) as ((i, j), param), 1-based
 
-    def row_op(i: int, j: int, c):
-        if addmul:
-            rows[i] = [addmul(a, c, b) if b else a
-                       for a, b in zip(rows[i], rows[j])]
-        else:
-            rows[i] = [a + c * b if b else a
-                       for a, b in zip(rows[i], rows[j])]
-        ops.append(((i + 1, j + 1), c))
+    def row_op(i: int, j: int, param, k: int, known=None):
+        # r_i -= param * r_j, where r_j is zero before column k; column k
+        # takes the entry ``known`` when the caller has it already
+        row, src, c = rows[i], rows[j], -param
+        if known is not None:
+            row[k], k = known, k + 1
+        for col in range(k, n):
+            b = src[col]
+            if b:
+                row[col] = addmul(row[col], c, b) if addmul \
+                    else row[col] + c * b
+        ops.append(((i + 1, j + 1), param))
 
     # phase 1: clear below the diagonal, column by column, by Euclidean
-    # reduction among rows k..n-1
+    # reduction among rows k..n-1; each reduced entry is its remainder
     for k in range(n):
         while True:
             live = [(deg(rows[r][k]), r) for r in range(k, n)
@@ -71,17 +78,17 @@ def factor_elementary(m) -> list:
             live.sort()
             _, piv = live[0]
             for _, r in live[1:]:
-                q, _rem = divmod_fn(rows[r][k], rows[piv][k])
-                row_op(r, piv, -q)
+                q, rem = divmod_fn(rows[r][k], rows[piv][k])
+                row_op(r, piv, q, k, rem)
         if not any(rows[r][k] for r in range(k, n)):
             raise ValueError("matrix is singular; determinant cannot be 1")
         r = next(r for r in range(k, n) if rows[r][k])
         if r != k:
             # swap rows k and r with three transvections (det stays 1):
             # (a, b) -> (a+b, b) -> (a+b, -a) -> (b, -a)
-            row_op(k, r, one)
-            row_op(r, k, -one)
-            row_op(k, r, one)
+            row_op(k, r, -one, k)
+            row_op(r, k, one, k)
+            row_op(k, r, -one, k)
 
     # phase 2: the matrix is upper triangular and its diagonal entries are
     # units (their product is the determinant, 1); clear above the diagonal
@@ -90,7 +97,7 @@ def factor_elementary(m) -> list:
         for i in range(j):
             c = rows[i][j]
             if c:
-                row_op(i, j, -(c * d_inv))
+                row_op(i, j, c * d_inv, j, ring.zero)
 
     # phase 3: expand diag(d1, ..., dn) as a product of h's down the
     # superdiagonal, each h in its six-letter form
@@ -110,8 +117,8 @@ def factor_elementary(m) -> list:
                 (root, ring(param)) for root, param in
                 h_letter_seq((i + 1, i + 2), running, base))
 
-    # ops turned M into D, so M = op_1^{-1} ... op_m^{-1} D
-    return [(root, -c) for root, c in ops] + h_factors
+    # row ops turned M into D; ops holds their inverses, so M = ops * D
+    return ops + h_factors
 
 
 def multiply_factors(ring, n: int, factors):

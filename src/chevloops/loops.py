@@ -23,6 +23,7 @@ from .chevalley import (GroupMatrix, _canonical_letters, c_letter_seq,
                         product_of_elementaries, w_letter_seq)
 from .rings import PolyRing
 
+
 def path_ring(field) -> PolyRing:
     """k[T], the ring of every path over ``field``."""
     return PolyRing(field, ("T",))

@@ -7,13 +7,13 @@ fields by coefficient vectors modulo a fixed irreducible polynomial.
 Polynomials in one variable (k[T], and k[D^1] in X1) are dense
 little-endian coefficient tuples: ints mod p over F_p, integer numerators
 over one shared denominator over Q, and field elements over F_{p^e};
-``Poly.addmul`` fuses a + x * f on that form and is its only dense sum:
-``+`` is ``addmul`` by one.  Polynomials in zero or several variables map
-exponent vectors to nonzero coefficients.  Every ring map is a
-``RingMap`` (values, and a memo of monomial images built from their
-power ladders) that ``Poly.substitute`` applies in one loop over the
-monomials of either form; ``Poly.evaluate`` reads coefficients directly
-only at T = 0 and T = 1.
+``Poly.addmul`` fuses a + x * f on that form, convolving by index into
+its coefficients, and is its only dense sum: ``+`` is ``addmul`` by one.
+Polynomials in zero or several variables map exponent vectors to nonzero
+coefficients.  Every ring map is a ``RingMap`` (values, and a memo of
+monomial images built from their power ladders) that ``Poly.substitute``
+applies in one loop over the monomials of either form; ``Poly.evaluate``
+reads coefficients directly only at T = 0 and T = 1.
 """
 
 from __future__ import annotations
@@ -495,7 +495,8 @@ def _convolve(a, b, zero, acc=()):
         out += [zero] * short
     for j, y in enumerate(b):
         if y:
-            out[j:j + la] = [u + x * y for u, x in zip(out[j:j + la], a)]
+            for k, x in enumerate(a, j):
+                out[k] += x * y
     return out
 
 

@@ -7,12 +7,14 @@ agree with the same operation on the embedded images, over Q, F_7 and
 F_9.
 """
 
+import random
 from fractions import Fraction
 
 import pytest
 
 from chevloops import (GF, GroupMatrix, Poly, PolyRing, QQ, eval_matrix,
                        poly_divmod)
+from chevloops.rings import _convolve
 
 hypothesis = pytest.importorskip("hypothesis")
 st = hypothesis.strategies
@@ -102,6 +104,60 @@ def test_addmul_outside_the_dense_form_is_the_two_step_sum():
     seven = PolyRing(GF(7), ("T",))
     with pytest.raises(ValueError, match="mixed rings"):
         dense.one.addmul(dense.gen("T"), seven.gen("T"))
+
+
+def _double_sum(a, b, zero, acc):
+    """acc plus a * b by the definition: out[i + j] += a[i] * b[j]."""
+    out = list(acc) + [zero] * (len(a) + len(b) - 1 - len(acc))
+    for i, x in enumerate(a):
+        for j, y in enumerate(b):
+            out[i + j] = out[i + j] + x * y
+    return out
+
+
+# the kernel's stored coefficients: integers (numerators over Q, residues
+# not yet reduced over F_p) and field elements over F_{p^e}
+CONVOLVE_SCALARS = {
+    "int": (0, st.integers(-40, 40)),
+    "F9": (GF(9).zero, FIELDS["F9"][1]),
+}
+
+
+@pytest.mark.parametrize("kind", sorted(CONVOLVE_SCALARS))
+def test_convolve_is_the_double_sum(kind):
+    # accumulators longer and shorter than the product, zero coefficients
+    # in either operand, and operands of length 1
+    zero, scalars = CONVOLVE_SCALARS[kind]
+
+    @CHECK
+    @given(st.lists(scalars, min_size=1, max_size=8),
+           st.lists(scalars, min_size=1, max_size=8),
+           st.lists(scalars, max_size=16))
+    def check(a, b, acc):
+        before = list(acc)
+        assert _convolve(a, b, zero, acc) == _double_sum(a, b, zero, acc)
+        assert _convolve(a, b, zero) == _double_sum(a, b, zero, ())
+        assert acc == before
+    check()
+
+
+def test_convolve_on_fixed_shapes():
+    nine = GF(9)
+    u, v = nine((1, 2)), nine((2, 0))
+    cases = [
+        ([3], [5], ()), ([3], [5], [1, 1, 1]), ([0], [7, 0, 2], [4]),
+        ([2, 0, 0, 1], [0, 3], []), ([1, 2], [3, 4, 5], [9] * 10),
+        ([u, nine.zero, v], [v], [u]), ([v, u], [u, nine.zero, v], []),
+    ]
+    for a, b, acc in cases:
+        zero = nine.zero if isinstance(a[0], type(u)) else 0
+        assert _convolve(a, b, zero, acc) == _double_sum(a, b, zero, acc)
+    rng = random.Random("convolve-long")
+    a = [rng.randint(-10 ** 6, 10 ** 6) for _ in range(1000)]
+    b = [rng.randint(-10 ** 6, 10 ** 6) for _ in range(10)]
+    acc = [rng.randint(-9, 9) for _ in range(400)]
+    assert _convolve(a, b, 0, acc) == _double_sum(a, b, 0, acc)
+    assert _convolve(b, a, 0) == _double_sum(a, b, 0, ())
 
 
 @pytest.mark.parametrize("name", sorted(FIELDS))
