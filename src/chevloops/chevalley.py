@@ -157,12 +157,13 @@ class GroupMatrix:
     __slots__ = ("ring", "n", "rows", "_hash")
 
     def __init__(self, ring, rows, _checked: bool = False):
-        # internal callers (``_checked``) already hold elements of ``ring``
+        # internal callers (``_checked``) already hold elements of ``ring``;
+        # rows of its polynomials need no coercion either, only the check
         n = len(rows)
-        if _checked:
-            ent = tuple(map(tuple, rows))
-        else:
-            ent = tuple(tuple(ring(x) for x in row) for row in rows)
+        ent = tuple(map(tuple, rows))
+        if not _checked and not all(x.__class__ is Poly and x.ring is ring
+                                    for row in ent for x in row):
+            ent = tuple(tuple(ring(x) for x in row) for row in ent)
         if any(len(row) != n for row in ent):
             raise ValueError("matrix must be square")
         self.ring = ring

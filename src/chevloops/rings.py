@@ -8,12 +8,12 @@ Polynomials in one variable (k[T], and k[D^1] in X1) are dense
 little-endian coefficient tuples: ints mod p over F_p, integer numerators
 over one shared denominator over Q, and field elements over F_{p^e};
 ``Poly.addmul`` fuses a + x * f on that form, convolving by index into
-its coefficients, and is its only dense sum: ``+`` is ``addmul`` by one.
+its coefficients, and is its only sum of two: ``+`` is ``addmul`` by one.
 Polynomials in zero or several variables map exponent vectors to nonzero
 coefficients.  Every ring map is a ``RingMap`` (values, and a memo of
 monomial images built from their power ladders) that ``Poly.substitute``
-applies in one loop over the monomials of either form; ``Poly.evaluate``
-reads coefficients directly only at T = 0 and T = 1.
+applies to either form as stored, in one loop per target form;
+``Poly.evaluate`` reads coefficients directly only at T = 0 and T = 1.
 """
 
 from __future__ import annotations
@@ -792,36 +792,67 @@ class Poly:
     def substitute(self, phi: "RingMap") -> "Poly":
         """The image under ``phi``, a RingMap from this polynomial's ring.
 
-        The one loop for every map between polynomial rings, whichever form
-        the source is stored in: each monomial of ``terms`` takes its image
-        from ``phi.memo`` (built on a miss; the memo is emptied whenever it
-        would grow past ``SUBSTITUTE_MEMO_LIMIT`` entries), scaled by its
-        coefficient and summed.
+        Reads the source as stored (the term dict, or dense numerators over
+        ``_d`` on Q and ints on F_p); each monomial's image comes from
+        ``phi.memo``, emptied when it would pass ``SUBSTITUTE_MEMO_LIMIT``.  A
+        term-dict target sums images term by term, then scales a dense
+        source's sums by 1/``_d`` or reduces them mod p; a dense target sums
+        into one list, over one lcm of denominators on Q, normalized once.
         """
         ring = self.ring
         if phi.source is not ring:
             raise ValueError(f"ring map from {phi.source!r}, not {ring!r}")
-        target = phi.target
-        memo = phi.memo
-        if target._kind is not None:
-            acc = target.zero
-            for e, c in self.terms.items():
+        target, memo, kind = phi.target, phi.memo, ring._kind
+        items = self._c.items() if kind is None else [
+            ((k,), x) for k, x in enumerate(self._c) if x]
+        tkind = target._kind
+        if tkind is None:
+            out: dict = {}
+            get = out.get
+            for e, c in items:
                 img = memo.get(e)
                 if img is None:
                     img = phi._miss(e)
-                acc = acc.addmul(img, target(c))
-            return acc
-        out: dict = {}
-        get = out.get
-        for e, c in self.terms.items():
+                for te, tc in img:
+                    # Fraction * int, not int * Fraction: the fast path
+                    tc = c if tc is None else tc * c
+                    s = get(te)
+                    out[te] = tc if s is None else s + tc
+            if kind == "Q":
+                d = self._d
+                out = {te: Fraction(s, d) for te, s in out.items() if s}
+            elif kind == "p":
+                base = ring.base
+                out = {te: v for te, s in out.items() if (v := base(s))}
+            else:
+                out = {te: tc for te, tc in out.items() if tc}
+            return _poly(target, out)
+        parts, top = [], 0
+        for e, c in items:
             img = memo.get(e)
             if img is None:
                 img = phi._miss(e)
-            for te, tc in img:
-                tc = c if tc is None else c * tc
-                s = get(te)
-                out[te] = tc if s is None else s + tc
-        return _poly(target, {te: tc for te, tc in out.items() if tc})
+            n = len(img._c)
+            if n:
+                parts.append((c, img))
+                if n > top:
+                    top = n
+        acc = [target._zero_c] * top
+        if tkind == "Q":
+            # c is an int numerator over self._d, or a Fraction
+            den = lcm(*[c.denominator * img._d for c, img in parts])
+        for c, img in parts:
+            if tkind == "Q":
+                c = c.numerator * (den // (c.denominator * img._d))
+            elif tkind == "p" and c.__class__ is FqElement:
+                c = c.coeffs[0]        # a term-dict source over F_p
+            for i, v in enumerate(img._c):
+                acc[i] += c * v
+        if tkind == "Q":
+            return _q_poly(target, acc, den * self._d)
+        if tkind == "p":
+            acc = [v % target._p for v in acc]
+        return _poly(target, _trim(acc))
 
     def __str__(self):
         terms = self.terms

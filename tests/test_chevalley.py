@@ -245,6 +245,17 @@ def test_construction_checks_determinant():
     with pytest.raises(ValueError):
         GroupMatrix(QQ, [[2, 0], [0, 2]])
     GroupMatrix(QQ, [[2, 0], [0, Fraction(1, 2)]])
+    # rows that already hold polynomials of the ring are still checked
+    t, zero = Q_T.gen("T"), Q_T.zero
+    with pytest.raises(ValueError, match="determinant is not 1"):
+        GroupMatrix(Q_T, [[t, zero], [zero, t]])
+    m = GroupMatrix(Q_T, [[t, Q_T.one], [t * t - 1, t]])
+    assert m.rows == ((t, Q_T.one), (t * t - 1, t))
+    # and polynomials of another ring, or mixed rows, are coerced
+    with pytest.raises(ValueError, match="is not in"):
+        GroupMatrix(Q_T, [[F7_T.one, F7_T.zero], [F7_T.zero, F7_T.one]])
+    m = GroupMatrix(Q_T, [[t, 1], [t * t - 1, t]])
+    assert all(x.ring is Q_T for row in m.rows for x in row)
 
 
 def test_size_and_ring_mixing_is_an_error():

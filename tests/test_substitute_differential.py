@@ -8,9 +8,13 @@ monomials (exponent shifts on the fast path), scaled monomials,
 constants, zero and general polynomials; targets have several variables,
 one variable (dense) or none.  The simplicial face and degeneracy maps
 are checked with a warm per-map memo against a cold one, over Q, F_7
-and F_9.  Edge cases of the prepared map: coefficients equal to one but
-held as distinct objects, monomials that cancel in the target, a map
-applied outside its source, and a memo reused past its bound.
+and F_9; the one-variable maps between dense forms (T <-> X1 and
+X1 -> a + b*X1) get their own check over the same fields.  Edge cases of
+the prepared map: coefficients equal to one but held as distinct objects,
+monomials that cancel in the target, dense Q sources over a shared
+denominator whose image is zero or mixes image denominators, dense F_7
+sources whose stored sums pass p, a map applied outside its source, and a
+memo reused past its bound.
 """
 
 from fractions import Fraction
@@ -221,6 +225,65 @@ def test_monomials_that_cancel_in_the_target_are_dropped(name, tvars):
     assert (a ** 2 - b ** 2 + 3 * a).substitute(phi).terms == (x * 3).terms
     phi = RingMap(src, target, {"A": x, "B": -x})
     assert (a + b).substitute(phi).is_zero()
+
+
+# one-variable maps between dense forms: (source, target, value of the
+# source variable given the target generator x and scalars a, b)
+DENSE_MAPS = {
+    "T->X1": ("T", "X1", lambda x, a, b: x),
+    "X1->T": ("X1", "T", lambda x, a, b: x),
+    "X1->a+bX1": ("X1", "X1", lambda x, a, b: a + b * x),
+}
+
+
+@pytest.mark.parametrize("shape", sorted(DENSE_MAPS))
+@pytest.mark.parametrize("name", sorted(FIELDS))
+def test_dense_to_dense_maps_match_the_definitional_sum(name, shape):
+    field, scalars = FIELDS[name]
+    sv, tv, value = DENSE_MAPS[shape]
+    src, target = PolyRing(field, (sv,)), PolyRing(field, (tv,))
+    x = target.gen(tv)
+
+    @CHECK
+    @given(st.data())
+    def check(data):
+        mapping = {sv: value(x, data.draw(scalars), data.draw(scalars))}
+        f = _poly(data, src, scalars, 6, 7)
+        phi = RingMap(src, target, mapping)
+        want = _reference(f, mapping, target)
+        assert f.substitute(phi) == want
+        assert f.substitute(phi) == want          # warm memo
+        if sv != tv:
+            back = RingMap(target, src, {tv: src.gen(sv)})
+            assert want.substitute(back) == f
+    check()
+
+
+@pytest.mark.parametrize("tvars", TARGETS, ids=["multi", "dense", "const"])
+def test_dense_q_sources_over_a_denominator(tvars):
+    src, target = PolyRing(QQ, ("A",)), PolyRing(QQ, tvars)
+    a = src.gen("A")
+    # (2A - 1)(A + 3)/6 = A^2/3 + 5A/6 - 1/2, numerators over 6
+    f = (2 * a - 1) * (a + 3) * Fraction(1, 6)
+    assert (f._c, f._d) == ((-3, 5, 2), 6)
+    image = f.substitute(RingMap(src, target, {"A": Fraction(1, 2)}))
+    assert image.is_zero() and image.terms == {}
+    assert image == target.zero and image._c == target.zero._c
+    # images over 1, 3 or 6 and 9 or 36 meet the source's 6
+    x = (target.gens() or (target.one,))[0]
+    mapping = {"A": x * Fraction(1, 3) + Fraction(1, 2)}
+    image = f.substitute(RingMap(src, target, mapping))
+    assert image == _reference(f, mapping, target)
+    assert not image.is_zero()
+
+
+@pytest.mark.parametrize("tvars", TARGETS, ids=["multi", "dense", "const"])
+def test_dense_f7_sums_past_p_are_reduced(tvars):
+    src, target = PolyRing(GF(7), ("A",)), PolyRing(GF(7), tvars)
+    f = Poly(src, {(0,): 3, (1,): 5, (2,): 6})
+    # 3 + 5 + 6 = 14 at A = 1, and 3 + 10 + 24 = 37 = 2 at A = 2
+    assert f.substitute(RingMap(src, target, {"A": 1})).terms == {}
+    assert f.substitute(RingMap(src, target, {"A": 2})) == target(2)
 
 
 def test_a_map_applies_only_to_its_source_ring():
