@@ -44,6 +44,13 @@ def _read_json(path: str | None):
             return json.load(fh)
     except json.JSONDecodeError as exc:
         raise InputError(f"invalid JSON: {exc}")
+    except ValueError as exc:
+        if isinstance(exc, UnicodeError):
+            raise
+        # else json.load found an integer literal longer than int() reads
+        raise ValueError(f"a JSON integer literal has more than "
+                         f"{sys.get_int_max_str_digits()} digits, past what "
+                         f"Python reads (sys.get_int_max_str_digits)")
     except RecursionError:
         raise InputError("invalid JSON: nested too deeply")
     except OSError as exc:
@@ -110,12 +117,6 @@ def _schema(doc) -> str | None:
     return doc.get("schema") if isinstance(doc, dict) else None
 
 
-def _load_level1(doc: dict):
-    if _schema(doc) == serialize.SCHEMA_SIMPLEX_MATRIX:
-        return serialize.simplex_matrix_from_json(doc)
-    return path_to_simplex(serialize.path_from_json(doc))
-
-
 def _cmd_symbol_loop(args) -> int:
     n = _parse_group(args.group)
     field = _parse_base_field(args.ring)
@@ -145,12 +146,15 @@ def _cmd_verify_identity(args) -> int:
         lhs_docs, rhs_docs = doc["lhs"], doc["rhs"]
     except (KeyError, TypeError):
         raise InputError("expected a document with 'lhs' and 'rhs' lists")
-    docs = lhs_docs + rhs_docs
-    serialize.check_document_work(docs)
-    # det is multiplicative: if the products agree and every other factor
-    # has det 1, so has the last; it is checked only when they do not
-    factors = [serialize.matrix_from_json(d, check_det=k < len(docs) - 1)
-               for k, d in enumerate(docs)]
+    reads = [serialize.read_matrix(d) for d in lhs_docs + rhs_docs]
+    # each side is multiplied out, a chain of its own; det is
+    # multiplicative: if the products agree and every other factor has
+    # det 1, so has the last, which is checked only when they do not
+    sides = (len(lhs_docs), len(rhs_docs))
+    serialize.check_document_cost(reads, depth=max(sides), products=sum(
+        max(k - 1, 0) for k in sides))
+    factors = [serialize.matrix_from_json(r, check_det=k < len(reads) - 1)
+               for k, r in enumerate(reads)]
     equal = False
     try:
         equal, cert = verify_path_identity(factors[:len(lhs_docs)],
@@ -169,8 +173,15 @@ def _cmd_verify_identity(args) -> int:
     return _emit({"equal": equal, "first_difference": first_diff})
 
 
+def _read_for_factor(args) -> serialize.Read:
+    """The document of ``factor`` or ``lift``, priced with its run."""
+    read = serialize.read_matrix(_read_json(args.infile))
+    serialize.check_document_cost([read], factor=1)
+    return read
+
+
 def _cmd_factor(args) -> int:
-    matrix = serialize.matrix_from_json(_read_json(args.infile))
+    matrix = serialize.matrix_from_json(_read_for_factor(args))
     factors = factor_elementary(matrix)
     return _emit({
         "count": len(factors),
@@ -180,8 +191,7 @@ def _cmd_factor(args) -> int:
 
 
 def _cmd_lift(args) -> int:
-    path = serialize.path_from_json(_read_json(args.infile))
-    word = path_to_steinberg(path)
+    word = path_to_steinberg(serialize.path_from_json(_read_for_factor(args)))
     doc = serialize.word_to_json(word)
     doc["is_k2"] = in_k2(word)
     if word.presentation_caveat:
@@ -231,12 +241,17 @@ def _cmd_schur(args) -> int:
         gen_docs = doc
     else:
         raise InputError("expected a {'gens': [...]} document or a list")
+    if args.bound < 1:
+        raise InputError(f"--bound must be at least 1, got {args.bound}")
+    reads = [serialize.read_matrix(d) for d in gen_docs]
     # each generator is det-checked on load, then multiplied into up to
-    # min(--bound, MAX_GROUP_ORDER) + 1 elements while the group is
-    # enumerated
-    rounds = max(0, min(args.bound, MAX_GROUP_ORDER)) + 2
-    serialize.check_document_work(gen_docs, rounds=rounds)
-    gens = [serialize.matrix_from_json(d) for d in gen_docs]
+    # B + 1 elements, B = min(--bound, MAX_GROUP_ORDER), while the group is
+    # enumerated; an element is a product of at most B + 1 generators, and
+    # no entry is printed
+    depth = min(args.bound, MAX_GROUP_ORDER) + 1
+    serialize.check_document_cost(reads, prints=False, depth=depth + 1,
+                                  products=len(reads) * depth)
+    gens = [serialize.matrix_from_json(r) for r in reads]
     t0 = time.perf_counter()
     pres = schur_multiplier(gens, order_bound=args.bound)
     dt = time.perf_counter() - t0
@@ -262,12 +277,17 @@ def _cmd_simplicial_face(args) -> int:
 
 def _cmd_verify_homotopy(args) -> int:
     docs = [_read_json(f) for f in (args.sigma, args.src, args.dst)]
-    # faces of all three re-check their determinants, and the boundary
-    # check inverts and multiplies: about five passes of O(n^3) each
-    serialize.check_document_work(docs, rounds=5)
-    sigma = serialize.simplex_matrix_from_json(docs[0])
-    loop_from = _load_level1(docs[1])
-    loop_to = _load_level1(docs[2])
+    simplex = [True] + [_schema(d) == serialize.SCHEMA_SIMPLEX_MATRIX
+                        for d in docs[1:]]
+    reads = [(serialize.read_simplex_matrix if s else serialize.read_matrix)(d)
+             for d, s in zip(docs, simplex)]
+    # past the loads, the faces check five more determinants, and the
+    # boundary check inverts a loop (about five more) and multiplies
+    serialize.check_document_cost(reads, det=10, products=1)
+    sigma, loop_from, loop_to = (
+        serialize.simplex_matrix_from_json(r) if s
+        else path_to_simplex(serialize.path_from_json(r))
+        for r, s in zip(reads, simplex))
     certified, faces = _check_witness(sigma, loop_from, loop_to)
     return _emit({
         "certified": certified,

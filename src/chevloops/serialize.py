@@ -9,15 +9,18 @@ little-endian coefficient vectors, and polynomials as lists of
 values always serialize to identical documents.  A one-variable
 polynomial over Q or F_p is read straight into its dense stored form
 (integer numerators over one denominator, or ints mod p) and written
-from it; the limits on a document's terms and digits are checked on the
-integers read, before any polynomial is built.
+from it; a document's terms are counted, and the work a command runs on
+it priced, on the integers read, before any polynomial is built.
 """
 
 from __future__ import annotations
 
+import sys
+from copy import copy
 from fractions import Fraction
 from functools import partial
-from math import comb, gcd, lcm
+from itertools import accumulate, chain, zip_longest
+from math import comb, gcd, isqrt, lcm
 
 from .chevalley import GroupMatrix
 from .loops import PathMatrix
@@ -169,22 +172,29 @@ def _fp_int(field: FiniteField, doc) -> int:
     return scalar_from_json(field, doc).coeffs[0]
 
 
-def _scalars_from_json(ring, docs: list, check=None) -> list:
-    """The encoded scalars of one document; polynomials are counted
-    together against ``MAX_SIMPLEX_TERMS``.  Over Q or Q[...], ``check``
-    is first given, per scalar, the list of its (numerator, denominator)
-    pairs, before any scalar is built."""
+def _read_scalars(ring, docs: list):
+    """The encoded scalars of one document, read but not built, as
+    (build, degrees, terms, pairs): ``build()`` makes them, ``degrees``
+    lists their total degrees (zero over a field) and ``terms`` their
+    summed term bound (see ``_bounded_terms``); over Q or Q[...],
+    ``pairs[i]`` holds the (numerator, denominator) pairs of scalar i, and
+    elsewhere ``pairs`` is None."""
     if isinstance(ring, PolyRing):
-        terms = _bounded_terms(ring, docs)
-        if check and ring.base is QQ:
-            check([list(t.values()) for t in terms])
-        return _polys_from_terms(ring, terms)
+        terms, degrees, count = _bounded_terms(ring, docs)
+        pairs = [t.values() for t in terms] if ring.base is QQ else None
+        return partial(_polys_from_terms, ring, terms), degrees, count, pairs
     if ring is QQ:
         pairs = [_q_pair(x) for x in docs]
-        if check:
-            check([[x] for x in pairs])
-        return [Fraction(*x) for x in pairs]
-    return [scalar_from_json(ring, x) for x in docs]
+        return ((lambda: [Fraction(*x) for x in pairs]), [0] * len(docs),
+                len(docs), [[x] for x in pairs])
+    values = [scalar_from_json(ring, x) for x in docs]
+    return (lambda: values), [0] * len(docs), len(docs), None
+
+
+def _scalars_from_json(ring, docs: list) -> list:
+    """The encoded scalars of one document; polynomials are counted
+    together against ``MAX_SIMPLEX_TERMS``."""
+    return _read_scalars(ring, docs)[0]()
 
 
 def _stores_ints(ring: PolyRing) -> bool:
@@ -213,6 +223,188 @@ def _polys_from_terms(ring: PolyRing, terms: list[dict]) -> list:
 
 
 # ---------------------------------------------------------------------------
+# admission: the one priced check
+# ---------------------------------------------------------------------------
+
+# Most work one command may do on the documents it reads, in units of
+# about one coefficient operation in the dense k[T] kernels (30-80 ns on
+# a 2-core VM): the slowest admitted document of each shape answers in
+# about 0.3 s (README, "Documents have bounded cost").
+MAX_DOCUMENT_COST = 3 * 10 ** 6
+
+
+def _digits(x: int) -> int:
+    """At least the decimal digits of |x|, from its bit length (0.30103 >
+    log10 2)."""
+    return abs(x).bit_length() * 30103 // 100000 + 1
+
+
+def _largest_sums(*counts: list) -> list:
+    """[s_0, ..., s_n]: s_k the least, over ``counts``, sum of k largest."""
+    return [min(x) for x in zip(*(list(accumulate(sorted(c, reverse=True),
+                                                  initial=0))
+                                  for c in counts))]
+
+
+class Read:
+    """A document read and checked for form, nothing built (``build``
+    makes it once ``check_document_cost`` has admitted it), with the shape
+    that check prices: size n, m variables, largest entry degree d, most
+    digits b of a row over one denominator (of a coefficient over F_q,
+    where nothing grows), and
+    degs[k], digs[k] bounding a k x k minor by its k largest row (or
+    column) degrees and row digits (Bareiss, Math. Comp. 22, 1968;
+    Hadamard); ``terms`` is the term bound of its polynomials.  A word
+    has d and b summed over its letters.  An operation on coefficients of
+    D digits costs w + g * D^2 / 10^4 units (see ``Read.__init__``)."""
+
+    __slots__ = ("n", "m", "d", "b", "degs", "digs", "w", "g", "grows",
+                 "terms", "word", "make", "priced")
+
+    def __init__(self, ring, n: int, degrees: list, terms: int, make):
+        poly = isinstance(ring, PolyRing)
+        base = ring.base if poly else ring
+        self.n, self.terms, self.make = n, terms, make
+        self.word = self.priced = False
+        self.m, self.d = len(ring.variables) if poly else 0, max(degrees)
+        self.grows, self.degs, self.digs = base is QQ, [0], [0]
+        self.b = 0 if self.grows else _digits(base.p) * base.e
+        if poly:    # a product of stored ints, FqElements or Fractions
+            self.w, self.g = (1 if _stores_ints(ring) or not self.grows
+                              else 4), 1
+        else:       # a whole entry update of Fraction or FqElement scalars
+            self.w, self.g = 40, 4
+        self.w *= 1 if self.grows else base.e
+
+    def cost(self, digits: int) -> int:
+        """Units of one operation on coefficients of ``digits`` digits."""
+        return self.w + self.g * digits * digits // 10 ** 4
+
+    def build(self, *args):
+        if not self.priced:
+            raise ValueError("a read document is built only once "
+                             "check_document_cost has priced it")
+        return self.make(*args)
+
+
+def _over_cost(what: str) -> ValueError:
+    return ValueError(f"documents need more than {MAX_DOCUMENT_COST} units "
+                      f"of work (MAX_DOCUMENT_COST): {what}")
+
+
+def _row_digits(pairs: list, cap: int) -> int:
+    """Digits of the (numerator, denominator) pairs of one row over their
+    common denominator, refused past ``cap`` digits, to which alone that
+    denominator is built."""
+    den, most = 1, cap * 10 // 3 + 1    # >= the bits of a cap-digit int
+    for d in {d for _, d in pairs}:
+        den = lcm(den, d)
+        if den.bit_length() > most:
+            break
+    top = _digits(den << max([0] + [num.bit_length() - d.bit_length()
+                                    for num, d in pairs]))
+    if top > cap:
+        raise _over_cost(f"a row or letter over its common denominator "
+                         f"has more than {cap} digits")
+    return top
+
+
+def _digit_cap(r: Read, units: int) -> int:
+    """The most digits ``units`` operations on ``r`` leave room for."""
+    spare = max(MAX_DOCUMENT_COST // max(units, 1) - r.w, 0)
+    return isqrt(spare * 10 ** 4 // r.g)
+
+
+def _elimination(r: Read, steps: int, rows, digits=None) -> int:
+    """Units of an elimination, stopped once past MAX_DOCUMENT_COST: step
+    k updates rows(k) entries, each t^2 operations on the t terms of a k
+    x k minor, at its digits or at digits(k)."""
+    total = 0
+    for k in range(1, steps + 1):
+        j = min(k, len(r.degs) - 1)
+        t = comb(r.degs[j] + r.m, r.m)
+        dig = r.digs[min(j, len(r.digs) - 1)] if r.grows else r.b
+        total += rows(k) * t * t * r.cost(digits(k) if digits else dig)
+        if total > MAX_DOCUMENT_COST:
+            break
+    return total
+
+
+def _document_cost(reads: list, det: int = 0, products: int = 0,
+                   depth: int = 0, factor: int = 0) -> tuple[int, int]:
+    """(units, digits) of one command's work: each read is built, each
+    word multiplied out and each matrix determinant checked; on the
+    matrices' joint shape it also runs ``det`` more determinant checks,
+    ``products`` products, each priced as the last of ``depth`` factors
+    (by default one chain, ``products`` + 1), and ``factor`` runs of
+    ``factor_elementary``.  ``digits`` bounds a number it may print: a
+    value of a row, of a product or of a factor."""
+    total, printed = 0, [0]
+    for r in reads:
+        n = r.n
+        if r.word:      # each letter term updates n entries
+            total += n * comb(r.d + r.m, r.m) * r.terms * r.cost(r.b)
+        else:
+            printed.append(r.b)
+            total += (n * n + r.terms) * r.cost(r.b) + _elimination(
+                r, n - 1, lambda k: (n - k) ** 2)
+    mats = [r for r in reads if not r.word]
+    if mats and (det or products or factor):
+        # the joint work runs in the ring with the fewest variables: the
+        # documents share one ring, but for a simplex and its faces
+        s = copy(min(mats, key=lambda r: r.m))
+        for key in ("n", "d", "b"):
+            setattr(s, key, max(getattr(r, key) for r in mats))
+        for key in ("degs", "digs"):
+            setattr(s, key, [max(x) for x in zip_longest(
+                *(getattr(r, key) for r in mats), fillvalue=0)])
+        n, c, digits = s.n, products, _factor_digits(s)
+        depth = depth or c + 1
+        product_digits = depth * s.b if s.grows else s.b
+        total += ((det and det * _elimination(s, n - 1,
+                                              lambda k: (n - k) ** 2))
+                  + c * n ** 3 * comb(s.d + s.m, s.m)
+                  * comb((depth - 1) * s.d + s.m, s.m)
+                  * s.cost(product_digits)
+                  + (factor and factor * 2 * _elimination(
+                      s, n, lambda k: (n - k + 1) ** 2, digits)))
+        printed += [product_digits if c else 0, factor and digits(n)]
+    return total, max(printed)
+
+
+def _factor_digits(s: Read):
+    """k -> digits of the coefficients ``factor_elementary`` works on at
+    step k, which it runs about as two determinant checks.  Over a field
+    an entry is a quotient of two minors; over Q[T] the row operations
+    grow the digits far past the Bareiss bound, about as b * j^5 / 16
+    where a k x k minor has the degree of j rows of degree d, as measured
+    on x_U x_L documents (README)."""
+    if s.m and s.grows:
+        d5 = 16 * max(s.d, 1) ** 5
+        return lambda k: s.b + s.b * s.degs[min(k, s.n)] ** 5 // d5
+    return lambda k: 2 * s.digs[min(k, len(s.digs) - 1)] if s.grows else s.b
+
+
+def check_document_cost(reads: list, prints: bool = True, **runs):
+    """Refuse the documents of one command, before any is built, when the
+    work it runs on them (``_document_cost``) passes ``MAX_DOCUMENT_COST``,
+    or, when it ``prints`` their values, when it may print a number of more
+    digits than Python writes out (``sys.get_int_max_str_digits``)."""
+    units, digits = _document_cost(reads, **runs)
+    most = sys.get_int_max_str_digits() if prints else digits
+    if units > MAX_DOCUMENT_COST or digits > most:
+        r = max(reads, key=lambda r: (r.n, r.d, r.b))
+        shape = f"n = {r.n}, m = {r.m}, degree {r.d}, {r.b} digits"
+        if units > MAX_DOCUMENT_COST:
+            raise _over_cost(shape)
+        raise ValueError(f"documents may print a number of {digits} digits, "
+                         f"past the {most} Python writes "
+                         f"(MAX_DOCUMENT_COST): {shape}")
+    for r in reads:
+        r.priced = True
+
+
+# ---------------------------------------------------------------------------
 # matrices and paths
 # ---------------------------------------------------------------------------
 
@@ -227,13 +419,7 @@ def matrix_to_json(m: GroupMatrix, schema: str = SCHEMA_MATRIX) -> dict:
 
 
 # Largest n a matrix, path, simplex-matrix or word document may declare.
-# Loading re-checks the determinant in O(n^3) steps: a dense 28x28 matrix
-# over Q or F_7, or over k[X1..X4] with constant entries, answers in well
-# under a second.
 MAX_DOCUMENT_SIZE = 28
-# Most work one command may load and multiply, counted as the sum of n^3
-# over its matrix documents (see ``check_document_work``).
-MAX_DOCUMENT_WORK = 2 * MAX_DOCUMENT_SIZE ** 3
 
 
 def _declared_int(doc: dict, key: str = "n", noun: str = "matrix size",
@@ -250,74 +436,62 @@ def _declared_int(doc: dict, key: str = "n", noun: str = "matrix size",
     return x
 
 
-def check_document_work(docs, rounds: int = 1):
-    """Refuse a list of matrix documents, before any is built, when
-    ``rounds`` times the sum of n^3 exceeds ``MAX_DOCUMENT_WORK``."""
-    work = rounds * sum(_declared_int(d) ** 3 for d in docs)
-    if work > MAX_DOCUMENT_WORK:
-        raise ValueError(f"documents need {work} units of work, over "
-                         f"{MAX_DOCUMENT_WORK} (MAX_DOCUMENT_WORK, counted "
-                         f"as {rounds} x the sum of n^3)")
-
-
-# Most decimal digits an entry of a matrix document over Q, or a
-# coefficient of one over Q[...], may have once its row is written over
-# one common denominator, in that denominator and in the numerator.  The
-# determinant check is integer Bareiss on those numerators: a dense 28x28
-# document at the limit is checked in 0.05-0.2 s, one of 1000-digit
-# integers would take 24 s.  The row's denominator is built from the
-# integers read, and only up to the limit, before any polynomial is: a 1x1
-# path over Q[T] of 4999 coefficients 1/d with 63-digit d is refused in
-# about 0.01 s (8 s when each polynomial's denominator came first).
-MAX_ENTRY_DIGITS = 64
-
-
-def _fits_entry_digits(row: list[tuple[int, int]]) -> bool:
-    """Whether the (numerator, denominator) pairs of ``row`` over their
-    common denominator stay within ``MAX_ENTRY_DIGITS``; that denominator
-    is built only while it does."""
-    limit = 10 ** MAX_ENTRY_DIGITS
-    den = 1
-    for num, d in row:
-        den = lcm(den, d)
-        if den >= limit or abs(num) >= limit:
-            return False
-    return all(abs(num) * (den // d) < limit for num, d in row)
-
-
-def _entry_rows(ring, doc: dict) -> list[list]:
-    """The rows of a matrix or simplex-matrix document over ``ring``; over
-    Q, or over Q[...] with every coefficient of a row counted, refused
-    unless each row fits ``MAX_ENTRY_DIGITS``."""
+def _read_grid(ring, doc: dict, make) -> Read:
+    """A matrix or simplex-matrix document over ``ring``, read: ``build(
+    *args)`` is ``make(rows, *args)``.  A row over Q or Q[...] is refused
+    once its digits pass what building it leaves room for."""
     n = _declared_int(doc)
-    entries = doc["entries"]
-    if not (isinstance(entries, list) and len(entries) == n
-            and all(isinstance(r, list) and len(r) == n for r in entries)):
+    grid = doc["entries"]
+    if not (isinstance(grid, list) and len(grid) == n
+            and all(isinstance(r, list) and len(r) == n for r in grid)):
         raise ValueError("entry grid does not match declared size")
+    build, degrees, terms, pairs = _read_scalars(ring, sum(grid, []))
 
-    def check(coeffs):
-        if not all(_fits_entry_digits(
-                [x for cs in coeffs[k * n:(k + 1) * n] for x in cs])
-                for k in range(n)):
-            raise ValueError(f"a row over its common denominator has more "
-                             f"than {MAX_ENTRY_DIGITS} digits "
-                             f"(MAX_ENTRY_DIGITS)")
-    flat = _scalars_from_json(ring, [x for row in entries for x in row],
-                              check)
-    return [flat[k * n:(k + 1) * n] for k in range(n)]
+    def build_rows(*args):
+        flat = build()
+        return make([flat[k * n:(k + 1) * n] for k in range(n)], *args)
+    read = Read(ring, n, degrees + [0], terms, build_rows)
+    read.degs = _largest_sums([max(degrees[k * n:k * n + n]) for k in
+                               range(n)], [max(degrees[k::n]) for k in
+                                           range(n)])
+    if pairs is not None:
+        cap = _digit_cap(read, n * n + terms)
+        digits = [_row_digits(list(chain(*pairs[k * n:k * n + n])), cap)
+                  for k in range(n)]
+        read.b, read.digs = max(digits + [0]), _largest_sums(digits)
+    return read
 
 
-def matrix_from_json(doc: dict, check_det: bool = True) -> GroupMatrix:
-    """Without ``check_det``, the determinant is left to the caller."""
+def read_matrix(doc: dict) -> Read:
+    """A matrix or path document, read but not built; ``build(check_det)``
+    makes its ``GroupMatrix``, leaving the determinant to the caller when
+    ``check_det`` is false."""
     ring = parse_ring(doc["ring"])
-    return GroupMatrix(ring, _entry_rows(ring, doc), _checked=not check_det)
+    return _read_grid(ring, doc, lambda rows, check_det=True: GroupMatrix(
+        ring, rows, _checked=not check_det))
+
+
+def _priced(doc, reader) -> Read:
+    """A read as it is (``build`` refuses it unless its command priced
+    it), a document read and priced for its own load."""
+    if not isinstance(doc, Read):
+        doc = reader(doc)
+        check_document_cost([doc])
+    return doc
+
+
+def matrix_from_json(doc, check_det: bool = True) -> GroupMatrix:
+    """A matrix document, or a ``read_matrix`` of one.  Without
+    ``check_det``, the determinant is left to the caller."""
+    return _priced(doc, read_matrix).build(check_det)
 
 
 def path_to_json(path: PathMatrix) -> dict:
     return matrix_to_json(path.matrix, schema=SCHEMA_PATH)
 
 
-def path_from_json(doc: dict) -> PathMatrix:
+def path_from_json(doc) -> PathMatrix:
+    """A path document, or a ``read_matrix`` of one."""
     return PathMatrix(matrix_from_json(doc))
 
 
@@ -335,63 +509,39 @@ def word_to_json(w: SteinbergWord) -> dict:
     }
 
 
-# Most decimal digits the letters of a word document over Q or Q[...] may
-# have in all, counted in the numerator and the denominator of each letter
-# (of each coefficient over Q[...]).  Multiplying the word out can grow its
-# entries by each letter's digits.  The slowest word found at the limit, at
-# n = 3 or 28, is 150 letters a*T + b*T^32 over Q[T] with one-digit a and
-# b (0.6 s); over Q every shape tried answers in 0.02 s.  The digits are
-# counted on the integers read, before any letter is built, and only until
-# they pass the limit: one Q[T] letter of 4999 coefficients 1/d with
-# 63-digit d is refused in about 0.01 s (13.5 s when it was built first).
-MAX_WORD_DIGITS = 600
-
-
-def _check_word_digits(coeffs: list[list]):
-    """Refuse the (numerator, denominator) lists read from the letters of
-    a word, before the word is built, once their digits pass
-    ``MAX_WORD_DIGITS``."""
-    digits = 0
-    for num, den in (x for cs in coeffs for x in cs):
-        try:    # str() refuses past 4300 digits, so past the limit too
-            digits += len(str(abs(num))) + len(str(den))
-        except ValueError:
-            digits = MAX_WORD_DIGITS + 1
-        if digits > MAX_WORD_DIGITS:
-            raise ValueError(f"word letters have more than {MAX_WORD_DIGITS}"
-                             f" digits in all (MAX_WORD_DIGITS)")
-
-
-def _check_word_terms(ring: PolyRing, params: list):
-    """Refuse the letters of a word, before the word is built, when the
-    product they multiply out to could pass ``MAX_SIMPLEX_TERMS``: its
-    entries have total degree at most the sum D of the letter degrees, so
-    at most C(D + v, v) terms in v variables.  Over k[T] the per-letter
-    count of ``_bounded_terms`` already implies this bound."""
-    nvars = len(ring.variables)
-    deg = sum(p.degree() for p in params if p)
-    if comb(min(deg, MAX_SIMPLEX_TERMS) + nvars, nvars) > MAX_SIMPLEX_TERMS:
-        raise ValueError(
-            f"word multiplies out to more than {MAX_SIMPLEX_TERMS} terms "
-            f"(MAX_SIMPLEX_TERMS, counted as C(D + v, v) for letter degrees "
-            f"summing to D in v variables) with v = {nvars}, D = {deg}")
-
-
-def word_from_json(doc: dict) -> SteinbergWord:
+def read_word(doc: dict) -> Read:
+    """A word document, read.  Its product, of total degree at most the
+    sum D of the letter degrees, may have C(D + v, v) terms in v variables,
+    at most ``MAX_SIMPLEX_TERMS``; over Q or Q[...] its letters' digits,
+    each over its own denominator, are refused once past what multiplying
+    out leaves room for."""
     n = _declared_int(doc)
     ring = parse_ring(doc["ring"])
     items = doc["letters"]
     for item in items:
         if not (isinstance(item, list) and len(item) in (3, 4)):
             raise ValueError(f"bad word letter {item!r}")
-    params = _scalars_from_json(ring, [item[2] for item in items],
-                                _check_word_digits)
-    if isinstance(ring, PolyRing):
-        _check_word_terms(ring, params)
-    letters = [((item[0], item[1]), param,
-                item[3] if len(item) == 4 else 1)
-               for item, param in zip(items, params)]
-    return SteinbergWord(ring, n, letters)
+    build, degrees, terms, pairs = _read_scalars(ring, [x[2] for x in items])
+    read = Read(ring, n, [sum(degrees)], terms, lambda: SteinbergWord(
+        ring, n, [((x[0], x[1]), param, x[3] if len(x) == 4 else 1)
+                  for x, param in zip(items, build())]))
+    v, read.word = read.m, True
+    if comb(min(read.d, MAX_SIMPLEX_TERMS) + v, v) > MAX_SIMPLEX_TERMS:
+        raise ValueError(
+            f"word multiplies out to more than {MAX_SIMPLEX_TERMS} terms "
+            f"(MAX_SIMPLEX_TERMS, counted as C(D + v, v) for letter degrees "
+            f"summing to D in v variables) with v = {v}, D = {read.d}")
+    cap = _digit_cap(read, n * comb(read.d + v, v) * terms)
+    for cs in pairs or ():
+        read.b += _row_digits(cs, cap - read.b)
+    return read
+
+
+def word_from_json(doc: dict) -> SteinbergWord:
+    """A word document, priced with multiplying it out."""
+    read = read_word(doc)
+    check_document_cost([read])
+    return read.build()
 
 
 # ---------------------------------------------------------------------------
@@ -407,17 +557,18 @@ MAX_SIMPLEX_LEVEL = 64
 # in one variable) and, for a simplex, every face image, which lives one
 # level lower.  A word's letters are also counted together as one
 # polynomial of their summed degree, the most its product can reach (see
-# ``_check_word_terms``): in ten variables that admits 5 linear letters
-# (0.06 s), where 18 took 15-29 s to multiply out.
+# ``read_word``): in ten variables that admits 5 linear letters (0.06 s),
+# where 18 took 15-29 s to multiply out.
 MAX_SIMPLEX_TERMS = 5000
 
 
-def _bounded_terms(ring: PolyRing, docs: list) -> list[dict]:
+def _bounded_terms(ring: PolyRing, docs: list):
     """Exponent vector -> coefficient for each encoded polynomial of one
     document, each coefficient over Q a ``_q_pair``; in one variable over
     Q or F_p the key is the exponent alone, and over F_p the coefficient
-    an int in [0, p).  Refused before any polynomial is built when their
-    term bound exceeds ``MAX_SIMPLEX_TERMS``."""
+    an int in [0, p).  Returns (those dicts, their total degrees, their
+    term bound), refused before any polynomial is built when the term
+    bound exceeds ``MAX_SIMPLEX_TERMS``."""
     base, nvars = ring.base, len(ring.variables)
     dense = _stores_ints(ring)
     read = (_q_pair if base is QQ else partial(_fp_int, base) if dense
@@ -441,18 +592,19 @@ def _bounded_terms(ring: PolyRing, docs: list) -> list[dict]:
                 raise ValueError(f"bad exponent vector {exp!r}")
             terms[k if dense else tuple(exp)] = read(coeff)
         out.append(terms)
+    degrees = [(max(t) if dense else max(map(sum, t))) if t else 0
+               for t in out]
     bound = 0
-    for t in out:
+    for t, deg in zip(out, degrees):
         if t:
-            deg = max(t) if dense else max(map(sum, t))
             bound += comb(min(deg, MAX_SIMPLEX_TERMS) + nvars, nvars)
             if bound > MAX_SIMPLEX_TERMS:
                 raise ValueError(
                     f"document exceeds {MAX_SIMPLEX_TERMS} terms "
                     f"(MAX_SIMPLEX_TERMS, counted as C(deg + v, v) per "
-                    f"polynomial in v variables) with v = {nvars}, "
-                    f"degree {deg}")
-    return out
+                    f"polynomial in v variables): {bound} reached with "
+                    f"v = {nvars}, largest degree {max(degrees)}")
+    return out, degrees, bound
 
 
 def simplex_poly_to_json(sp: SimplexPoly) -> dict:
@@ -482,9 +634,14 @@ def simplex_matrix_to_json(sm: SimplexMatrix) -> dict:
     }
 
 
-def simplex_matrix_from_json(doc: dict) -> SimplexMatrix:
+def read_simplex_matrix(doc: dict) -> Read:
+    """A simplex-matrix document, read but not built."""
     level = _declared_int(doc, "level", "simplex level", "MAX_SIMPLEX_LEVEL")
     ring = simplex_ring(parse_ring(doc["field"]), level)
-    return SimplexMatrix(ring.base, level,
-                         GroupMatrix(ring, _entry_rows(ring, doc)))
+    return _read_grid(ring, doc, lambda rows: SimplexMatrix(
+        ring.base, level, GroupMatrix(ring, rows)))
 
+
+def simplex_matrix_from_json(doc) -> SimplexMatrix:
+    """A simplex-matrix document, or a ``read_simplex_matrix`` of one."""
+    return _priced(doc, read_simplex_matrix).build()

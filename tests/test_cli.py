@@ -18,6 +18,7 @@ import chevloops
 import chevloops.cli as cli
 from chevloops import PolyRing, QQ, product_of_elementaries, serialize
 from chevloops.cli import main
+from chevloops.simplicial import degeneracy, path_to_simplex
 
 GOLDEN = json.loads(
     (pathlib.Path(__file__).parent / "data" / "cli_golden.json").read_text(
@@ -151,6 +152,37 @@ def test_path_documents_over_the_term_limit_are_exit_2(tmp_path, capsys,
     assert "MAX_SIMPLEX_TERMS" in out["error"]
 
 
+def test_the_term_limit_names_the_largest_degree(tmp_path, capsys):
+    # x_U x_L over Q[T] at n = 21 with letters a + bT has entries of degree
+    # up to 21; the refusal used to name the degree of the entry at which
+    # the running count crossed the limit ("degree 4")
+    n, rng = 21, random.Random("terms")
+    ring = PolyRing(QQ, ("T",))
+    t = ring.gen("T")
+
+    def letters(lower):
+        return [((i, j), Fraction(rng.randint(1, 9), rng.randint(1, 9))
+                 + rng.randint(1, 9) * t)
+                for i in range(1, n + 1) for j in range(1, n + 1)
+                if (i > j if lower else i < j)]
+    doc = serialize.path_to_json(chevloops.PathMatrix(
+        product_of_elementaries(ring, n, letters(False))
+        * product_of_elementaries(ring, n, letters(True))))
+    degrees = [max((e[0] for e, _ in x), default=-1)
+               for row in doc["entries"] for x in row]
+    reached = 0
+    for deg in degrees:
+        reached += deg + 1
+        if reached > serialize.MAX_SIMPLEX_TERMS:
+            break
+    code, out, seconds = _timed(tmp_path, capsys, ["verify-loop"], doc)
+    assert (code, out) == (2, {"error": (
+        f"document exceeds 5000 terms (MAX_SIMPLEX_TERMS, counted as "
+        f"C(deg + v, v) per polynomial in v variables): {reached} reached "
+        f"with v = 1, largest degree 21")})
+    assert max(degrees) == 21 and seconds < 1.0
+
+
 @pytest.mark.parametrize("degrees", [[10 ** 7], [10 ** 12], [2500, 2500]])
 def test_word_documents_over_the_term_limit_are_exit_2(tmp_path, capsys,
                                                        degrees):
@@ -244,6 +276,18 @@ def test_schur_subcommand(tmp_path, capsys):
         code, out = _run(capsys, ["schur", "--gens", str(f)])
         assert code == 1
         assert "expected a {'gens': [...]} document" in out["error"]
+
+
+@pytest.mark.parametrize("bound", ["0", "-1"])
+def test_schur_bound_below_one_is_malformed_input(tmp_path, capsys, bound):
+    # it read "order bound 0 exceeded: the group has more than 0 elements"
+    f = tmp_path / "gens.json"
+    f.write_text(json.dumps({"gens": [{
+        "schema": serialize.SCHEMA_MATRIX, "n": 2, "ring": "Fq:7^1",
+        "entries": [[[3], [0]], [[0], [5]]]}]}))
+    code, out = _run(capsys, ["schur", "--gens", str(f), "--bound", bound])
+    assert (code, out) == (1, {
+        "error": f"--bound must be at least 1, got {bound}"})
 
 
 def test_schur_output_deterministic_apart_from_timing(tmp_path, capsys):
@@ -599,9 +643,8 @@ def _dense_q(n, rng):
 
 def test_the_densest_admitted_identity_answers_in_under_a_second(tmp_path,
                                                                 capsys):
-    # two factors of the largest size spend the whole work budget
+    # two factors of the largest size, each with its determinant priced
     n = serialize.MAX_DOCUMENT_SIZE
-    assert 2 * n ** 3 == serialize.MAX_DOCUMENT_WORK
     a = serialize.matrix_to_json(_dense_q(n, random.Random("densest")))
     code, out, seconds = _timed(tmp_path, capsys, ["verify-identity"],
                                 {"lhs": [a], "rhs": [a]})
@@ -621,6 +664,57 @@ def test_the_densest_admitted_refutation_answers_in_under_a_second(tmp_path,
     assert seconds < 1.0
 
 
+def test_factor_and_lift_of_x_u_x_l_over_q_t_answer_or_refuse(tmp_path,
+                                                             capsys):
+    # x_U x_L over Q[T] with one-digit letters a + bT (bT for lift, which
+    # needs a based path): factor took 1.4-3.9 s at n = 10 and then ended
+    # in Python's "Exceeds the limit (4300 digits)"; at n = 14 it did not
+    # finish in 20 s.  Every size answers, or exits 2 naming a limit, in
+    # under a second.
+    ring = PolyRing(QQ, ("T",))
+    t = ring.gen("T")
+    answered = []
+    for n in range(2, serialize.MAX_DOCUMENT_SIZE + 1):
+        rng = random.Random(n)
+        for command, a in (("factor", 1), ("lift", 0)):
+            def letters(lower):
+                return [((i, j), a * Fraction(rng.randint(-9, 9),
+                                              rng.randint(1, 9))
+                         + rng.randint(1, 9) * t)
+                        for i in range(1, n + 1) for j in range(1, n + 1)
+                        if (i > j if lower else i < j)]
+            doc = serialize.path_to_json(chevloops.PathMatrix(
+                product_of_elementaries(ring, n, letters(False))
+                * product_of_elementaries(ring, n, letters(True))))
+            code, out, seconds = _timed(tmp_path, capsys, [command], doc)
+            assert seconds < 1.0, (command, n, seconds)
+            if code == 0:
+                answered.append((command, n))
+            else:
+                assert code == 2 and ("MAX_DOCUMENT_COST" in out["error"]
+                                      or "MAX_SIMPLEX_TERMS" in out["error"])
+    # the sizes that answer run from 2 up, for both commands
+    assert ("factor", 6) in answered and ("lift", 6) in answered
+
+
+def test_a_28x28_product_of_three_letters_over_q_t_factors(tmp_path,
+                                                           capsys):
+    # a pivot bound of k times the largest entry degree prices these 11-15
+    # times past MAX_DOCUMENT_COST; the k largest row and column degrees
+    # of a minor admit them
+    ring = PolyRing(QQ, ("T",))
+    t, n, rng = ring.gen("T"), serialize.MAX_DOCUMENT_SIZE, random.Random(3)
+    for _ in range(3):
+        letters = [(tuple(rng.sample(range(1, n + 1), 2)),
+                    rng.randint(1, 9) + rng.randint(1, 9) * t)
+                   for _ in range(3)]
+        doc = serialize.path_to_json(chevloops.PathMatrix(
+            product_of_elementaries(ring, n, letters)))
+        code, out, seconds = _timed(tmp_path, capsys, ["factor"], doc)
+        assert code == 0 and out["count"] >= 3
+        assert seconds < 1.0
+
+
 def _q_doc(rows):
     return {"schema": serialize.SCHEMA_MATRIX, "n": len(rows), "ring": "Q",
             "entries": [[str(x) for x in row] for row in rows]}
@@ -628,10 +722,10 @@ def _q_doc(rows):
 
 def test_the_densest_admitted_entries_answer_in_under_a_second(tmp_path,
                                                              capsys):
-    # each row over one 32-digit denominator with 32-digit numerators: the
-    # slowest shape found at the digit limit
+    # each row over one 28-digit denominator with 28-digit numerators:
+    # near the most digits MAX_DOCUMENT_COST admits for factor at n = 28
     n, rng = serialize.MAX_DOCUMENT_SIZE, random.Random("digits")
-    half = serialize.MAX_ENTRY_DIGITS // 2
+    half = 28
     rows = []
     for _ in range(n):
         den = rng.randrange(10 ** (half - 1), 10 ** half)
@@ -650,22 +744,62 @@ def test_q_entries_over_the_digit_limit_are_exit_2(tmp_path, capsys, entry):
     rows = [[entry] * n for _ in range(n)]
     code, out, seconds = _timed(tmp_path, capsys, ["factor"], _q_doc(rows))
     assert code == 2
-    assert "MAX_ENTRY_DIGITS" in out["error"]
+    assert "MAX_DOCUMENT_COST" in out["error"]
     assert seconds < 1.0
 
 
 def test_q_entries_are_counted_over_their_row_denominator(tmp_path, capsys):
-    # the unipotent row (1, 1/p_1, ..., 1/p_27): no entry has more than four
-    # digits, but the row's common denominator is the product of the p_i
+    # the unipotent row (1, 1/d_1, ..., 1/d_27): no entry has more than 201
+    # digits, but the row's common denominator is the product of the
+    # pairwise coprime d_i = k * 27! * 10^173 + 1, about 5400 digits; it is
+    # refused before that product is built, and small primes are admitted
+    big = math.factorial(27) * 10 ** 173
     primes = [p for p in range(11, 1000) if chevloops.rings.is_prime(p)]
-    limit = 10 ** serialize.MAX_ENTRY_DIGITS
-    for ps, code in ((primes[:27], 0), (primes[-27:], 2)):
-        assert (math.prod(ps) >= limit) == (code == 2)
+    for dens, code in ((primes[:27], 0), ([k * big + 1 for k in
+                                           range(1, 28)], 2)):
         rows = [[int(r == s) for s in range(28)] for r in range(28)]
-        rows[0] = [1] + [Fraction(1, p) for p in ps]
-        got, out, _ = _timed(tmp_path, capsys, ["factor"], _q_doc(rows))
+        rows[0] = [1] + [Fraction(1, d) for d in dens]
+        got, out, seconds = _timed(tmp_path, capsys, ["factor"],
+                                   _q_doc(rows))
         assert got == code
-        assert ("MAX_ENTRY_DIGITS" in out.get("error", "")) == (code == 2)
+        assert seconds < 1.0
+        if code == 2:
+            assert "MAX_DOCUMENT_COST" in out["error"]
+            assert "over its common denominator" in out["error"]
+
+
+def _two_term_path(p, q):
+    """[[1, T/p + T^2/q], [0, 1]]: 1/p + 1/q at T = 1."""
+    return {"schema": serialize.SCHEMA_PATH, "n": 2, "ring": "poly:Q:T",
+            "entries": [[[[[0], "1"]], [[[1], f"1/{p}"], [[2], f"1/{q}"]]],
+                        [[], [[[0], "1"]]]]}
+
+
+def test_numbers_past_what_python_prints_are_refused(tmp_path, capsys):
+    # with coprime 2200-digit p and q the path reads 1/p + 1/q at T = 1, a
+    # denominator of 4400 digits, which str() refuses to write; with p and
+    # q of 2151 and 2152 digits it has 4302, just past the limit, where a
+    # digit count that reads low from the bit length lets it through; the
+    # factors of a 3x3 matrix of 1500-digit entries are quotients of
+    # minors, which Hadamard bounds only by 4500 digits
+    path = _two_term_path(10 ** 2199 + 1, 10 ** 2199 + 3)
+    near = _two_term_path(10 ** 2150 + 1, 10 ** 2151 + 3)
+    x = 10 ** 1499
+    rows = [[x, x - 1, 0], [x + 1, x, 0], [0, 0, 1]]
+    for argv, doc in ((["verify-loop"], path), (["factor"], path),
+                      (["verify-loop"], near), (["factor"], _q_doc(rows))):
+        code, out, seconds = _timed(tmp_path, capsys, argv, doc)
+        assert code == 2 and seconds < 1.0
+        assert "MAX_DOCUMENT_COST" in out["error"]
+        assert "past the 4300 Python writes" in out["error"]
+
+
+def test_a_file_that_is_not_utf8_names_the_byte(tmp_path, capsys):
+    f = tmp_path / "latin.json"
+    f.write_bytes(b"\xff{}")
+    code, out = _run(capsys, ["factor", "--in", str(f)])
+    assert (code, out) == (2, {"error": "'utf-8' codec can't decode byte "
+                               "0xff in position 0: invalid start byte"})
 
 
 def _word(ring, params):
@@ -676,25 +810,24 @@ def _word(ring, params):
 
 def test_word_letters_over_the_digit_limit_are_exit_2(tmp_path, capsys):
     # 800 letters with 30-digit numerators and denominators took 11-12.6 s
-    # to multiply out; over Q[T] every coefficient counts, and a letter
-    # past the 4300 digits str() prints is refused like any other
+    # to multiply out; the digits of all letters count together
     rng = random.Random("word digits")
-    limit = serialize.MAX_WORD_DIGITS
     long = [f"{rng.randrange(10 ** 29, 10 ** 30)}/"
             f"{rng.randrange(10 ** 29, 10 ** 30)}" for _ in range(800)]
-    for doc in (_word("Q", long), _word("Q", ["1e4300"]),
-                _word("poly:Q:T", [[[[0], "1"],
-                                    [[1], "1/" + "1" * (limit - 2)]]])):
+    for doc in (_word("Q", long), _word("poly:Q:T", [
+            [[[0], "1"], [[1], x]] for x in long[:300]])):
         code, out, seconds = _timed(tmp_path, capsys, ["k2-check"], doc)
         assert code == 2
-        assert "MAX_WORD_DIGITS" in out["error"]
+        assert "MAX_DOCUMENT_COST" in out["error"]
         assert seconds < 1.0
-    # exactly MAX_WORD_DIGITS digits in all is admitted
-    for doc in (_word("Q", ["1/" + "7" * (limit - 1)]),
-                _word("poly:Q:T", [[[[0], "1"],
-                                    [[1], "1/" + "1" * (limit - 3)]]])):
-        code, out, _ = _timed(tmp_path, capsys, ["k2-check"], doc)
-        assert (code, out["reduced_length"]) == (0, 1)
+    # one long letter multiplies out at once: a letter of 4301 digits, or
+    # over Q[T] of 1000, is admitted
+    for doc in (_word("Q", ["1e4300"]),
+                _word("poly:Q:T", [[[[0], "1"], [[1], "1/" + "1" * 999]]]),
+                _word("Q", long[:100])):
+        code, out, seconds = _timed(tmp_path, capsys, ["k2-check"], doc)
+        assert code == 0 and seconds < 1.0
+    assert out["reduced_length"] == 100
 
 
 def test_multivariate_words_are_priced_by_their_product(tmp_path, capsys):
@@ -719,39 +852,88 @@ def test_multivariate_words_are_priced_by_their_product(tmp_path, capsys):
 
 
 def test_verify_identity_work_is_capped(tmp_path, capsys):
-    n = serialize.MAX_DOCUMENT_SIZE
-    big = {"schema": serialize.SCHEMA_MATRIX, "n": n, "ring": "Q",
-           "entries": "unread"}
+    # each factor alone is admitted, but five determinants and a chain of
+    # three products are priced together
+    a = serialize.matrix_to_json(_dense_q(serialize.MAX_DOCUMENT_SIZE,
+                                          random.Random("densest")))
+    code, out, seconds = _timed(tmp_path, capsys, ["factor"], a)
+    assert code == 0
     code, out, seconds = _timed(tmp_path, capsys, ["verify-identity"],
-                                {"lhs": [big, big], "rhs": [big]})
+                                {"lhs": [a, a, a, a], "rhs": [a]})
     assert code == 2
-    assert "MAX_DOCUMENT_WORK" in out["error"]
+    assert "MAX_DOCUMENT_COST" in out["error"]
     assert seconds < 1.0
 
 
 def test_schur_generator_work_is_capped(tmp_path, capsys):
-    # the enumeration multiplies each generator up to 29 times
-    gen = {"schema": serialize.SCHEMA_MATRIX, "n": 13, "ring": "Q",
-           "entries": "unread"}
+    # the 13-cycle over Q, of order 13: the enumeration is priced for up
+    # to min(--bound, MAX_GROUP_ORDER) + 1 products, not for the 13 it
+    # takes
+    cycle = [[int(s == (r + 1) % 13) for s in range(13)] for r in range(13)]
     f = tmp_path / "gens.json"
-    f.write_text(json.dumps({"gens": [gen]}))
-    code, out = _run(capsys, ["schur", "--gens", str(f)])
+    f.write_text(json.dumps({"gens": [_q_doc(cycle)]}))
+    argv = ["schur", "--gens", str(f)]
+    code, out, seconds = _timed(tmp_path, capsys, argv)
     assert code == 2
-    assert "MAX_DOCUMENT_WORK" in out["error"]
+    assert "MAX_DOCUMENT_COST" in out["error"]
+    assert seconds < 1.0
+    code, out, _ = _timed(tmp_path, capsys, argv + ["--bound", "20"])
+    assert (code, out["order"], out["invariant_factors"]) == (0, 13, [])
+
+
+def test_schur_prices_elements_by_their_depth(tmp_path, capsys):
+    # A4 in SL_3(Q), from the 3-cycle and sign changes: with the number of
+    # generators the products grow, but an element is still at most
+    # --bound + 1 generators deep, and no entry is printed
+    signs = [(1, -1, -1), (-1, -1, 1), (-1, 1, -1)]
+    gens = [_q_doc([[int(s == (r + 1) % 3) for s in range(3)]
+                    for r in range(3)])]
+    gens += [_q_doc([[x * (r == s) for s in range(3)] for r, x in
+                     enumerate(sign)]) for sign in signs]
+    f = tmp_path / "gens.json"
+    for count in (3, 4):
+        f.write_text(json.dumps({"gens": gens[:count]}))
+        code, out, seconds = _timed(tmp_path, capsys,
+                                    ["schur", "--gens", str(f)])
+        assert (code, out["order"], out["invariant_factors"]) == (0, 12, [2])
+        assert seconds < 1.0
+
+
+def _dense_path(n, rng, field=chevloops.GF(7)):
+    """x_U x_L over k[T] with letters c*T: dense, of degree n."""
+    ring = PolyRing(field, ("T",))
+    t = ring.gen("T")
+
+    def letters(lower):
+        return [((i, j), rng.randint(1, 6) * t)
+                for i in range(1, n + 1) for j in range(1, n + 1)
+                if (i > j if lower else i < j)]
+    return (product_of_elementaries(ring, n, letters(False))
+            * product_of_elementaries(ring, n, letters(True)))
 
 
 def test_verify_homotopy_work_is_capped(tmp_path, capsys):
-    # every document is walked about five times by the witness check
+    # each document alone is admitted; the witness check is priced for
+    # five more determinants, an inverse and two products on top
+    path = chevloops.PathMatrix(_dense_path(12, random.Random("homotopy")))
+    sigma = degeneracy(0, path_to_simplex(chevloops.identity_path(
+        chevloops.GF(7), 12)))
+    docs = [serialize.simplex_matrix_to_json(sigma),
+            serialize.path_to_json(path), serialize.path_to_json(path)]
+    for doc in docs:
+        argv = ["simplicial-face", "--i", "0"] if "level" in doc else [
+            "verify-loop"]
+        assert _timed(tmp_path, capsys, argv, doc)[0] == 0
     paths = []
-    for k in range(3):
-        doc = {"schema": serialize.SCHEMA_SIMPLEX_MATRIX, "level": 2 - k // 2,
-               "n": 15, "field": "Q", "entries": "unread"}
+    for k, doc in enumerate(docs):
         paths.append(tmp_path / f"doc{k}.json")
         paths[-1].write_text(json.dumps(doc))
-    code, out = _run(capsys, ["verify-homotopy", "--sigma", str(paths[0]),
-                              "--from", str(paths[1]), "--to", str(paths[2])])
+    code, out, seconds = _timed(tmp_path, capsys, [
+        "verify-homotopy", "--sigma", str(paths[0]), "--from", str(paths[1]),
+        "--to", str(paths[2])])
     assert code == 2
-    assert "MAX_DOCUMENT_WORK" in out["error"]
+    assert "MAX_DOCUMENT_COST" in out["error"]
+    assert seconds < 1.0
 
 
 def test_rational_exponents_are_capped(tmp_path, capsys):
@@ -881,8 +1063,14 @@ def _symbol_loop(group="sl2", root="1,2", ring="Q"):
      json.dumps({"schema": serialize.SCHEMA_MATRIX, "n": 1, "ring": "Q",
                  "entries": [["1"]]}), 1,
      f"expected a simplex document, got schema {serialize.SCHEMA_MATRIX!r}"),
+    # json.load raised Python's own "Exceeds the limit (4300 digits)"
+    (["factor", "--in", "-"],
+     '{"schema": "%s", "n": 1, "ring": "Q", "entries": [[%s]]}'
+     % (serialize.SCHEMA_MATRIX, "1" * 5000), 2,
+     "a JSON integer literal has more than 4300 digits, past what Python "
+     "reads (sys.get_int_max_str_digits)"),
 ], ids=["unreadable-file", "stdin", "root-text", "group-text", "group-size",
-        "ring-not-a-field", "face-of-a-matrix"])
+        "ring-not-a-field", "face-of-a-matrix", "integer-literal"])
 def test_input_errors_name_the_problem(tmp_path, monkeypatch, capsys, argv,
                                        stdin, code, error):
     argv = [a.format(tmp=tmp_path) for a in argv]

@@ -5,13 +5,16 @@ on either a ``data/cli_golden.json`` case or a ``k2-check`` case on a
 word document (``WORD_CASES``) with one to three nodes of its
 input documents replaced (huge, negative, boolean and float numbers,
 deep nesting, unknown schemas, bad ring descriptors and rationals,
-rationals past the entry digit limit, or
+rationals of too many digits, or
 a list of up to 30 copies of the node itself), a flag-driven
 subcommand with adversarial flag values, ``k2-check`` on a long word
-over Q with many-digit letters, or a path or word over Q[T] whose one
-polynomial has 4999 coefficients of 63-digit denominators.  Each call must
-exit 0, 1 or 2, print exactly one JSON document, let no exception
-escape and answer in under a second.  After every call a fixed golden
+over Q with many-digit letters, ``factor``, ``lift`` or ``verify-loop``
+on a dense or sparse product of letters over Q[T] or F_7[T] of size up
+to 28, or a path or word over Q[T] whose one polynomial has 4999
+coefficients of 63-digit denominators.  Each call must exit 0, 1 or 2,
+print exactly one JSON document, let no exception escape and answer in
+under a second; an exit 2 on a document that is well formed names the
+limit that refused it.  After every call a fixed golden
 case must still print its pinned bytes, so nothing leaks between calls
 through the shared parser.
 """
@@ -25,10 +28,13 @@ import time
 
 import pytest
 
-from chevloops import QQ, symbol_word
+from fractions import Fraction
+
+from chevloops import (GF, PathMatrix, QQ, path_ring, product_of_elementaries,
+                       symbol_word)
 from chevloops.cli import main
 from chevloops.serialize import (MAX_DOCUMENT_SIZE, MAX_SIMPLEX_TERMS,
-                                 MAX_WORD_DIGITS, SCHEMA_PATH, SCHEMA_WORD,
+                                 SCHEMA_PATH, SCHEMA_WORD, path_to_json,
                                  word_to_json)
 
 hypothesis = pytest.importorskip("hypothesis")
@@ -208,13 +214,12 @@ def test_adversarial_flags(tmp_path_factory, call):
 
 @st.composite
 def _long_q_word(draw):
-    """A word over Q at n = 3 or 28 whose letters have numerators and
-    denominators of one to 64 digits: either the most letters
-    ``MAX_WORD_DIGITS`` admits at that size, or up to 900.  At 800 letters
-    of 30 digits each, multiplying out took 11-12.6 s at n = 3."""
+    """A word over Q at n = 3 or 28 of up to 900 letters whose numerators
+    and denominators have one to 64 digits.  At 800 letters of 30 digits
+    each, multiplying out took 11-12.6 s at n = 3."""
     n = draw(st.sampled_from([3, 28]))
     digits = draw(st.integers(1, 64))
-    count = draw(st.one_of(st.just(MAX_WORD_DIGITS // (2 * digits)),
+    count = draw(st.one_of(st.sampled_from([1, 10, 100, 300]),
                            st.integers(1, 900)))
     rng = random.Random(draw(st.integers(0, 2 ** 32)))
 
@@ -234,8 +239,57 @@ def test_long_q_words_answer_or_name_the_digit_limit(tmp_path_factory, doc):
     result = json.loads(out)
     assert code in (0, 2), result
     if code == 2:
-        assert "MAX_WORD_DIGITS" in result["error"], result
+        assert "MAX_DOCUMENT_COST" in result["error"], result
     assert seconds < SECONDS, (len(doc["letters"]), seconds)
+
+
+@st.composite
+def _kt_call(draw):
+    """``factor``, ``lift`` or ``verify-loop`` on a path over Q[T] or
+    F_7[T] of size 2 to 28: x_U x_L with a letter on every root (dense), or
+    up to 3n letters on random roots (sparse).  Letters are a + bT with
+    one-digit a and b, or bT, which gives the based path ``lift`` needs."""
+    command = draw(st.sampled_from(["factor", "lift", "verify-loop"]))
+    field = draw(st.sampled_from([QQ, GF(7)]))
+    n = draw(st.sampled_from(range(2, MAX_DOCUMENT_SIZE + 1)))
+    dense = draw(st.booleans())
+    based = command == "lift" or draw(st.booleans())
+    rng = random.Random(draw(st.integers(0, 2 ** 32)))
+    ring = path_ring(field)
+    t = ring.gen("T")
+
+    def digit():
+        if field is QQ:
+            return Fraction(rng.randint(-9, 9), rng.randint(1, 9))
+        return field(rng.randint(0, 6))
+    if dense:
+        roots = ([(i, j) for i in range(1, n + 1) for j in range(i + 1, n + 1)]
+                 + [(j, i) for i in range(1, n + 1)
+                    for j in range(i + 1, n + 1)])
+    else:
+        roots = [tuple(rng.sample(range(1, n + 1), 2))
+                 for _ in range(rng.randint(1, 3 * n))]
+    letters = [(root, (0 if based else digit()) + (digit() or 1) * t)
+               for root in roots]
+    return command, path_to_json(PathMatrix(product_of_elementaries(
+        ring, n, letters)))
+
+
+@settings(max_examples=60, deadline=None, derandomize=True, database=None)
+@given(call=_kt_call())
+def test_kt_documents_answer_or_name_a_limit(tmp_path_factory, call):
+    # factor over Q[T] of dense x_U x_L hung from n = 10 (from n = 9 it
+    # ended in Python's "Exceeds the limit (4300 digits)"), and over
+    # F_7[T] verify-loop and factor took 1.3-1.4 s at n = 21
+    command, doc = call
+    code, out, seconds = _call(tmp_path_factory.mktemp("fuzz"), [command],
+                               {"--in": doc})
+    result = json.loads(out)
+    assert code in (0, 2), result
+    if code == 2:
+        assert ("MAX_DOCUMENT_COST" in result["error"]
+                or "MAX_SIMPLEX_TERMS" in result["error"]), result
+    assert seconds < SECONDS, (command, doc["n"], seconds)
 
 
 def test_deeply_nested_document_text(tmp_path):
@@ -267,7 +321,7 @@ def test_polynomial_coefficients_over_the_digit_limit_are_exit_2(tmp_path,
     argv = [command] + (["--i", "0"] if command == "simplicial-face" else [])
     code, out, seconds = _call(tmp_path, argv, {"--in": doc})
     assert code == 2
-    assert "MAX_ENTRY_DIGITS" in json.loads(out)["error"]
+    assert "MAX_DOCUMENT_COST" in json.loads(out)["error"]
     assert seconds < SECONDS
 
 
@@ -279,11 +333,9 @@ def _wide_q_poly():
             for k in range(MAX_SIMPLEX_TERMS - 1)]
 
 
-@pytest.mark.parametrize("command, limit", [
-    ("verify-loop", "MAX_ENTRY_DIGITS"), ("k2-check", "MAX_WORD_DIGITS")])
+@pytest.mark.parametrize("command", ["verify-loop", "k2-check"])
 def test_wide_q_documents_are_refused_before_their_denominator(tmp_path,
-                                                               command,
-                                                               limit):
+                                                               command):
     # the common denominator of all 4999 coefficients has about 300,000
     # digits: building it took 8.0 s (path) and 13.5 s (word) to refuse
     poly = _wide_q_poly()
@@ -293,5 +345,5 @@ def test_wide_q_documents_are_refused_before_their_denominator(tmp_path,
             "letters": [[1, 2, poly, 1]]})
     code, out, seconds = _call(tmp_path, [command], {"--in": doc})
     assert code == 2
-    assert limit in json.loads(out)["error"]
+    assert "MAX_DOCUMENT_COST" in json.loads(out)["error"]
     assert seconds < 0.5

@@ -87,6 +87,12 @@ def test_matrix_roundtrip_and_det_check_on_load():
     bad["entries"] = [["1", "0", "0"], ["0", "2", "0"], ["0", "0", "1"]]
     with pytest.raises(ValueError):
         ser.matrix_from_json(bad)
+    # a read is built only once its command has priced it
+    read = ser.read_matrix(doc)
+    with pytest.raises(ValueError, match="check_document_cost"):
+        ser.matrix_from_json(read)
+    ser.check_document_cost([read], factor=1)
+    assert ser.matrix_from_json(read) == m
 
 
 def test_path_roundtrip():

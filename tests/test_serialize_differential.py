@@ -59,6 +59,7 @@ def _reference_polys(ring, docs: list) -> list:
     before any is built."""
     terms = [_reference_terms(ring, d) for d in docs]
     nvars = len(ring.variables)
+    top = max((max(map(sum, t)) for t in terms if t), default=0)
     bound = 0
     for t in terms:
         if t:
@@ -68,8 +69,8 @@ def _reference_polys(ring, docs: list) -> list:
                 raise ValueError(
                     f"document exceeds {ser.MAX_SIMPLEX_TERMS} terms "
                     f"(MAX_SIMPLEX_TERMS, counted as C(deg + v, v) per "
-                    f"polynomial in v variables) with v = {nvars}, "
-                    f"degree {deg}")
+                    f"polynomial in v variables): {bound} reached with "
+                    f"v = {nvars}, largest degree {top}")
     return [Poly(ring, t) for t in terms]
 
 

@@ -1,8 +1,9 @@
 """verify-identity checks its last factor's determinant only when the
 products differ or cannot be compared (det is multiplicative, so it is
 implied when they agree).  Every document must still give the stdout and
-exit code of the eager reference: each factor loaded with the check, in
-document order, before ``verify_path_identity`` compares the products.
+exit code of the eager reference: every factor read and priced, then each
+loaded with the check, in document order, before ``verify_path_identity``
+compares the products.
 """
 
 import collections
@@ -139,10 +140,13 @@ def test_a_last_factor_with_det_2_is_refused(monkeypatch, tmp_path, capsys,
         "size": {"lhs": [j(c)], "rhs": [j(_det2(a))]},
         # the only factor against the empty product
         "lone": {"lhs": [j(_det2(a))], "rhs": []},
-        # a det-2 first factor is refused before a malformed second one
+        # every factor is read before any is built: a malformed second
+        # factor is reported before a det-2 first one
         "malformed": {"lhs": [j(_det2(a)), _malformed(b, no_ring=True)],
                       "rhs": []},
     }[case]
     code, out = _verify(tmp_path, capsys, doc)
-    assert (code, json.loads(out)) == (2, DET)
+    want = ((1, {"error": "malformed document: KeyError('ring')"})
+            if case == "malformed" else (2, DET))
+    assert (code, json.loads(out)) == want
     assert (code, out) == _eager(monkeypatch, tmp_path, capsys, doc)

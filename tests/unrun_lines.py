@@ -10,9 +10,12 @@ root, with any extra pytest arguments:
     PYTHONPATH=src python tests/unrun_lines.py [-x] [tests/test_rings.py]
 
 Lines that stay unrun on purpose are listed in ``KEPT`` with their
-reason.  The script prints the unrun lines that ``KEPT`` does not list
-and the listed lines that now run (or are gone), and exits 1 when either
-list is non-empty, whatever pytest's own exit code.
+reason.  The script prints the tests that failed under the tracer, apart
+from its line lists: a wall-clock bound that only the slower traced run
+overruns is not a coverage gap.  It then prints the unrun lines that
+``KEPT`` does not list and the listed lines that now run (or are gone),
+and exits 1 when either line list is non-empty, whatever pytest's own
+exit code and whichever tests failed.
 """
 
 import pathlib
@@ -45,8 +48,19 @@ def executable_lines(path: pathlib.Path) -> set[int]:
     return lines
 
 
+class _Failures:
+    """A pytest plugin that keeps the id of every failed test."""
+
+    def __init__(self):
+        self.ids = []
+
+    def pytest_runtest_logreport(self, report):
+        if report.failed:
+            self.ids.append(f"{report.nodeid} ({report.when})")
+
+
 def main(args: list[str]) -> int:
-    ran = set()
+    ran, failures = set(), _Failures()
 
     def trace(frame, event, arg):
         if "chevloops" not in frame.f_code.co_filename:
@@ -56,9 +70,13 @@ def main(args: list[str]) -> int:
 
     sys.settrace(trace)
     try:
-        code = pytest.main(["-q", "-p", "no:cacheprovider", *args])
+        code = pytest.main(["-q", "-p", "no:cacheprovider", *args],
+                           plugins=[failures])
     finally:
         sys.settrace(None)
+    print(f"{len(failures.ids)} tests failed under the tracer:")
+    for test in failures.ids:
+        print(f"  {test}")
     ran = {(str(pathlib.Path(f).resolve()), line) for f, line in ran}
     unrun, unlisted, kept = 0, 0, set()
     for path in sorted(SRC.glob("*.py")):
