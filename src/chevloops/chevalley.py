@@ -24,7 +24,7 @@ def check_root(root, n: int):
         i, j = root
     except (TypeError, ValueError):
         raise ValueError(f"root must be a pair of indices, got {root!r}")
-    if not (isinstance(i, int) and isinstance(j, int)):
+    if not (i.__class__ is int and j.__class__ is int):
         raise ValueError(f"root indices must be integers, got {root!r}")
     if i == j:
         raise ValueError(f"root indices must differ, got {root!r}")

@@ -19,7 +19,7 @@ from . import serialize
 from .acceptance import DEFAULT_SEED, run_all
 from .chevalley import GroupMatrix
 from .factorization import factor_elementary, path_to_steinberg
-from .loops import c_loop, verify_path_identity
+from .loops import PathMatrix, c_loop, verify_path_identity
 from .oracles import (MAX_GROUP_ORDER, milnor_k2_finite_field,
                       schur_multiplier, tame_symbol)
 from .rings import FiniteField, QQ
@@ -153,8 +153,7 @@ def _cmd_verify_identity(args) -> int:
     sides = (len(lhs_docs), len(rhs_docs))
     serialize.check_document_cost(reads, depth=max(sides), products=sum(
         max(k - 1, 0) for k in sides))
-    factors = [serialize.matrix_from_json(r, check_det=k < len(reads) - 1)
-               for k, r in enumerate(reads)]
+    factors = [r.build(k < len(reads) - 1) for k, r in enumerate(reads)]
     equal = False
     try:
         equal, cert = verify_path_identity(factors[:len(lhs_docs)],
@@ -173,15 +172,15 @@ def _cmd_verify_identity(args) -> int:
     return _emit({"equal": equal, "first_difference": first_diff})
 
 
-def _read_for_factor(args) -> serialize.Read:
+def _matrix_for_factor(args) -> GroupMatrix:
     """The document of ``factor`` or ``lift``, priced with its run."""
     read = serialize.read_matrix(_read_json(args.infile))
     serialize.check_document_cost([read], factor=1)
-    return read
+    return read.build()
 
 
 def _cmd_factor(args) -> int:
-    matrix = serialize.matrix_from_json(_read_for_factor(args))
+    matrix = _matrix_for_factor(args)
     factors = factor_elementary(matrix)
     return _emit({
         "count": len(factors),
@@ -191,7 +190,7 @@ def _cmd_factor(args) -> int:
 
 
 def _cmd_lift(args) -> int:
-    word = path_to_steinberg(serialize.path_from_json(_read_for_factor(args)))
+    word = path_to_steinberg(PathMatrix(_matrix_for_factor(args)))
     doc = serialize.word_to_json(word)
     doc["is_k2"] = in_k2(word)
     if word.presentation_caveat:
@@ -246,12 +245,11 @@ def _cmd_schur(args) -> int:
     reads = [serialize.read_matrix(d) for d in gen_docs]
     # each generator is det-checked on load, then multiplied into up to
     # B + 1 elements, B = min(--bound, MAX_GROUP_ORDER), while the group is
-    # enumerated; an element is a product of at most B + 1 generators, and
-    # no entry is printed
+    # enumerated; an element is a product of at most B + 1 generators
     depth = min(args.bound, MAX_GROUP_ORDER) + 1
-    serialize.check_document_cost(reads, prints=False, depth=depth + 1,
+    serialize.check_document_cost(reads, depth=depth + 1,
                                   products=len(reads) * depth)
-    gens = [serialize.matrix_from_json(r) for r in reads]
+    gens = [r.build() for r in reads]
     t0 = time.perf_counter()
     pres = schur_multiplier(gens, order_bound=args.bound)
     dt = time.perf_counter() - t0
@@ -285,8 +283,7 @@ def _cmd_verify_homotopy(args) -> int:
     # boundary check inverts a loop (about five more) and multiplies
     serialize.check_document_cost(reads, det=10, products=1)
     sigma, loop_from, loop_to = (
-        serialize.simplex_matrix_from_json(r) if s
-        else path_to_simplex(serialize.path_from_json(r))
+        r.build() if s else path_to_simplex(PathMatrix(r.build()))
         for r, s in zip(reads, simplex))
     certified, faces = _check_witness(sigma, loop_from, loop_to)
     return _emit({

@@ -39,10 +39,6 @@ SCHEMA_SIMPLEX_MATRIX = "chevloops/simplex-matrix/v1"
 # ring descriptors
 # ---------------------------------------------------------------------------
 
-def format_ring(ring) -> str:
-    return ring.descriptor()
-
-
 def parse_ring(desc: str):
     if not isinstance(desc, str):
         raise ValueError(f"ring descriptor must be a string, got {desc!r}")
@@ -108,9 +104,21 @@ def parse_rational(text: str) -> Fraction:
     return Fraction(text)
 
 
+def _written(x: Fraction) -> str:
+    """``str(x)``, refused when a part has more digits than Python writes
+    out (``sys.get_int_max_str_digits``): the one check that no number a
+    command prints is too long."""
+    try:
+        return str(x)
+    except ValueError:
+        raise ValueError(f"an output number has more than "
+                         f"{sys.get_int_max_str_digits()} digits, past what "
+                         f"Python writes (sys.get_int_max_str_digits)")
+
+
 def scalar_to_json(ring, x):
     if ring is QQ:
-        return str(ring(x))
+        return _written(ring(x))
     if isinstance(ring, FiniteField):
         return list(ring(x).coeffs)
     if isinstance(ring, PolyRing):
@@ -118,7 +126,7 @@ def scalar_to_json(ring, x):
         if _stores_ints(ring):
             # from the stored integers, highest exponent first
             cs, d = p._c, p._d
-            return [[[k], str(Fraction(cs[k], d)) if ring.base is QQ
+            return [[[k], _written(Fraction(cs[k], d)) if ring.base is QQ
                      else [cs[k]]]
                     for k in range(len(cs) - 1, -1, -1) if cs[k]]
         base = ring.base
@@ -140,7 +148,7 @@ def scalar_from_json(ring, doc):
             return ring(doc)
         raise ValueError(f"bad finite-field encoding {doc!r}")
     if isinstance(ring, PolyRing):
-        return _scalars_from_json(ring, [doc])[0]
+        return _read_scalars(ring, [doc])[0]()[0]
     raise ValueError(f"cannot deserialize over {ring!r}")
 
 
@@ -189,12 +197,6 @@ def _read_scalars(ring, docs: list):
                 len(docs), [[x] for x in pairs])
     values = [scalar_from_json(ring, x) for x in docs]
     return (lambda: values), [0] * len(docs), len(docs), None
-
-
-def _scalars_from_json(ring, docs: list) -> list:
-    """The encoded scalars of one document; polynomials are counted
-    together against ``MAX_SIMPLEX_TERMS``."""
-    return _read_scalars(ring, docs)[0]()
 
 
 def _stores_ints(ring: PolyRing) -> bool:
@@ -331,21 +333,19 @@ def _elimination(r: Read, steps: int, rows, digits=None) -> int:
 
 
 def _document_cost(reads: list, det: int = 0, products: int = 0,
-                   depth: int = 0, factor: int = 0) -> tuple[int, int]:
-    """(units, digits) of one command's work: each read is built, each
-    word multiplied out and each matrix determinant checked; on the
-    matrices' joint shape it also runs ``det`` more determinant checks,
-    ``products`` products, each priced as the last of ``depth`` factors
-    (by default one chain, ``products`` + 1), and ``factor`` runs of
-    ``factor_elementary``.  ``digits`` bounds a number it may print: a
-    value of a row, of a product or of a factor."""
-    total, printed = 0, [0]
+                   depth: int = 0, factor: int = 0) -> int:
+    """Units of one command's work: each read is built, each word
+    multiplied out and each matrix determinant checked; on the matrices'
+    joint shape it also runs ``det`` more determinant checks, ``products``
+    products, each priced as the last of ``depth`` factors (by default one
+    chain, ``products`` + 1), and ``factor`` runs of
+    ``factor_elementary``."""
+    total = 0
     for r in reads:
         n = r.n
         if r.word:      # each letter term updates n entries
             total += n * comb(r.d + r.m, r.m) * r.terms * r.cost(r.b)
         else:
-            printed.append(r.b)
             total += (n * n + r.terms) * r.cost(r.b) + _elimination(
                 r, n - 1, lambda k: (n - k) ** 2)
     mats = [r for r in reads if not r.word]
@@ -358,18 +358,16 @@ def _document_cost(reads: list, det: int = 0, products: int = 0,
         for key in ("degs", "digs"):
             setattr(s, key, [max(x) for x in zip_longest(
                 *(getattr(r, key) for r in mats), fillvalue=0)])
-        n, c, digits = s.n, products, _factor_digits(s)
+        n, c = s.n, products
         depth = depth or c + 1
-        product_digits = depth * s.b if s.grows else s.b
         total += ((det and det * _elimination(s, n - 1,
                                               lambda k: (n - k) ** 2))
                   + c * n ** 3 * comb(s.d + s.m, s.m)
                   * comb((depth - 1) * s.d + s.m, s.m)
-                  * s.cost(product_digits)
+                  * s.cost(depth * s.b if s.grows else s.b)
                   + (factor and factor * 2 * _elimination(
-                      s, n, lambda k: (n - k + 1) ** 2, digits)))
-        printed += [product_digits if c else 0, factor and digits(n)]
-    return total, max(printed)
+                      s, n, lambda k: (n - k + 1) ** 2, _factor_digits(s))))
+    return total
 
 
 def _factor_digits(s: Read):
@@ -385,21 +383,14 @@ def _factor_digits(s: Read):
     return lambda k: 2 * s.digs[min(k, len(s.digs) - 1)] if s.grows else s.b
 
 
-def check_document_cost(reads: list, prints: bool = True, **runs):
+def check_document_cost(reads: list, **runs):
     """Refuse the documents of one command, before any is built, when the
-    work it runs on them (``_document_cost``) passes ``MAX_DOCUMENT_COST``,
-    or, when it ``prints`` their values, when it may print a number of more
-    digits than Python writes out (``sys.get_int_max_str_digits``)."""
-    units, digits = _document_cost(reads, **runs)
-    most = sys.get_int_max_str_digits() if prints else digits
-    if units > MAX_DOCUMENT_COST or digits > most:
+    work it runs on them (``_document_cost``) passes
+    ``MAX_DOCUMENT_COST``."""
+    if _document_cost(reads, **runs) > MAX_DOCUMENT_COST:
         r = max(reads, key=lambda r: (r.n, r.d, r.b))
-        shape = f"n = {r.n}, m = {r.m}, degree {r.d}, {r.b} digits"
-        if units > MAX_DOCUMENT_COST:
-            raise _over_cost(shape)
-        raise ValueError(f"documents may print a number of {digits} digits, "
-                         f"past the {most} Python writes "
-                         f"(MAX_DOCUMENT_COST): {shape}")
+        raise _over_cost(f"n = {r.n}, m = {r.m}, degree {r.d}, "
+                         f"{r.b} digits")
     for r in reads:
         r.priced = True
 
@@ -412,7 +403,7 @@ def matrix_to_json(m: GroupMatrix, schema: str = SCHEMA_MATRIX) -> dict:
     return {
         "schema": schema,
         "n": m.n,
-        "ring": format_ring(m.ring),
+        "ring": m.ring.descriptor(),
         "entries": [[scalar_to_json(m.ring, x) for x in row]
                     for row in m.rows],
     }
@@ -471,27 +462,23 @@ def read_matrix(doc: dict) -> Read:
         ring, rows, _checked=not check_det))
 
 
-def _priced(doc, reader) -> Read:
-    """A read as it is (``build`` refuses it unless its command priced
-    it), a document read and priced for its own load."""
-    if not isinstance(doc, Read):
-        doc = reader(doc)
-        check_document_cost([doc])
-    return doc
+def _priced(read: Read):
+    """What ``read`` builds, priced for its own load."""
+    check_document_cost([read])
+    return read.build()
 
 
-def matrix_from_json(doc, check_det: bool = True) -> GroupMatrix:
-    """A matrix document, or a ``read_matrix`` of one.  Without
-    ``check_det``, the determinant is left to the caller."""
-    return _priced(doc, read_matrix).build(check_det)
+def matrix_from_json(doc: dict) -> GroupMatrix:
+    """A matrix document, priced for its own load."""
+    return _priced(read_matrix(doc))
 
 
 def path_to_json(path: PathMatrix) -> dict:
     return matrix_to_json(path.matrix, schema=SCHEMA_PATH)
 
 
-def path_from_json(doc) -> PathMatrix:
-    """A path document, or a ``read_matrix`` of one."""
+def path_from_json(doc: dict) -> PathMatrix:
+    """A path document, priced for its own load."""
     return PathMatrix(matrix_from_json(doc))
 
 
@@ -503,7 +490,7 @@ def word_to_json(w: SteinbergWord) -> dict:
     return {
         "schema": SCHEMA_WORD,
         "n": w.n,
-        "ring": format_ring(w.ring),
+        "ring": w.ring.descriptor(),
         "letters": [[i, j, scalar_to_json(w.ring, param), 1]
                     for (i, j), param in w.letters],
     }
@@ -539,9 +526,7 @@ def read_word(doc: dict) -> Read:
 
 def word_from_json(doc: dict) -> SteinbergWord:
     """A word document, priced with multiplying it out."""
-    read = read_word(doc)
-    check_document_cost([read])
-    return read.build()
+    return _priced(read_word(doc))
 
 
 # ---------------------------------------------------------------------------
@@ -611,7 +596,7 @@ def simplex_poly_to_json(sp: SimplexPoly) -> dict:
     return {
         "schema": SCHEMA_SIMPLEX_POLY,
         "level": sp.level,
-        "field": format_ring(sp.field),
+        "field": sp.field.descriptor(),
         "poly": scalar_to_json(sp.poly.ring, sp.poly),
     }
 
@@ -619,7 +604,7 @@ def simplex_poly_to_json(sp: SimplexPoly) -> dict:
 def simplex_poly_from_json(doc: dict) -> SimplexPoly:
     level = _declared_int(doc, "level", "simplex level", "MAX_SIMPLEX_LEVEL")
     field = parse_ring(doc["field"])
-    poly, = _scalars_from_json(simplex_ring(field, level), [doc["poly"]])
+    poly, = _read_scalars(simplex_ring(field, level), [doc["poly"]])[0]()
     return SimplexPoly(field, level, poly)
 
 
@@ -628,7 +613,7 @@ def simplex_matrix_to_json(sm: SimplexMatrix) -> dict:
         "schema": SCHEMA_SIMPLEX_MATRIX,
         "level": sm.level,
         "n": sm.n,
-        "field": format_ring(sm.field),
+        "field": sm.field.descriptor(),
         "entries": [[scalar_to_json(sm.matrix.ring, x) for x in row]
                     for row in sm.matrix.rows],
     }
@@ -642,6 +627,6 @@ def read_simplex_matrix(doc: dict) -> Read:
         ring.base, level, GroupMatrix(ring, rows)))
 
 
-def simplex_matrix_from_json(doc) -> SimplexMatrix:
-    """A simplex-matrix document, or a ``read_simplex_matrix`` of one."""
-    return _priced(doc, read_simplex_matrix).build()
+def simplex_matrix_from_json(doc: dict) -> SimplexMatrix:
+    """A simplex-matrix document, priced for its own load."""
+    return _priced(read_simplex_matrix(doc))

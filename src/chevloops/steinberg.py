@@ -28,7 +28,7 @@ def _signed_letters(ring, n: int, letters):
     for letter in letters:
         if len(letter) == 3:
             root, param, sign = letter
-            if sign not in (1, -1):
+            if sign.__class__ is not int or sign not in (1, -1):
                 raise ValueError(f"letter sign must be +-1, got {sign}")
         else:
             root, param = letter

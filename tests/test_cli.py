@@ -775,23 +775,54 @@ def _two_term_path(p, q):
                         [[], [[[0], "1"]]]]}
 
 
+WRITES = {"error": "an output number has more than 4300 digits, past "
+                   "what Python writes (sys.get_int_max_str_digits)"}
+
+
 def test_numbers_past_what_python_prints_are_refused(tmp_path, capsys):
     # with coprime 2200-digit p and q the path reads 1/p + 1/q at T = 1, a
     # denominator of 4400 digits, which str() refuses to write; with p and
-    # q of 2151 and 2152 digits it has 4302, just past the limit, where a
-    # digit count that reads low from the bit length lets it through; the
-    # factors of a 3x3 matrix of 1500-digit entries are quotients of
-    # minors, which Hadamard bounds only by 4500 digits
+    # q of 2151 and 2152 digits it has 4302, just past the limit, and with
+    # 2150 and 2151 digits 4300, which prints
     path = _two_term_path(10 ** 2199 + 1, 10 ** 2199 + 3)
     near = _two_term_path(10 ** 2150 + 1, 10 ** 2151 + 3)
+    fits = _two_term_path(10 ** 2149 + 1, 10 ** 2150 + 3)
+    for argv, doc in ((["verify-loop"], path), (["lift"], path),
+                      (["verify-loop"], near)):
+        code, out, seconds = _timed(tmp_path, capsys, argv, doc)
+        assert (code, out) == (2, WRITES)
+        assert seconds < 1.0
+    code, out, seconds = _timed(tmp_path, capsys, ["verify-loop"], fits)
+    at1 = Fraction(out["endpoints"]["at1"]["entries"][0][1])
+    assert code == 0 and seconds < 1.0
+    assert len(str(at1.denominator)) == 4300
+    # factor prints what it needs, not what a bound predicts: the path is
+    # one letter of its own 2200-digit coefficients, and a 3 x 3 matrix of
+    # 1500-digit entries factors into 8 letters of at most 3001 digits
+    code, out, seconds = _timed(tmp_path, capsys, ["factor"], path)
+    assert code == 0 and seconds < 1.0
+    assert out["factors"] == [[1, 2, path["entries"][0][1][::-1]]]
     x = 10 ** 1499
     rows = [[x, x - 1, 0], [x + 1, x, 0], [0, 0, 1]]
-    for argv, doc in ((["verify-loop"], path), (["factor"], path),
-                      (["verify-loop"], near), (["factor"], _q_doc(rows))):
-        code, out, seconds = _timed(tmp_path, capsys, argv, doc)
-        assert code == 2 and seconds < 1.0
-        assert "MAX_DOCUMENT_COST" in out["error"]
-        assert "past the 4300 Python writes" in out["error"]
+    code, out, seconds = _timed(tmp_path, capsys, ["factor"], _q_doc(rows))
+    assert (code, out["count"]) == (0, 8) and seconds < 1.0
+    assert max(len(f[2]) for f in out["factors"]) == 3001
+
+
+def test_the_writer_refuses_what_python_cannot_print(tmp_path, capsys):
+    # u = v = 10^3000: the symbol loop has the entry u * v = 10^6000; the
+    # face d_0 maps X1 to 1 - X1, so a 4299-digit coefficient on X1^20
+    # gains up to C(20, 10) = 184756 in each term
+    argv = ["symbol-loop", "--group", "sl2", "--root", "1,2", "--u",
+            "1e3000", "--v", "1e3000", "--ring", "Q"]
+    code, out, seconds = _timed(tmp_path, capsys, argv)
+    assert (code, out) == (2, WRITES)
+    assert seconds < 1.0
+    doc = {"schema": serialize.SCHEMA_SIMPLEX_POLY, "level": 2, "field": "Q",
+           "poly": [[[20, 0], "9" * 4299]]}
+    code, out, seconds = _timed_face(tmp_path, capsys, doc)
+    assert (code, out) == (2, WRITES)
+    assert seconds < 1.0
 
 
 def test_a_file_that_is_not_utf8_names_the_byte(tmp_path, capsys):
@@ -1033,6 +1064,19 @@ def _poly_matrix(ring, entry):
     ("factor", _poly_matrix("Q", True), "bad rational encoding True"),
     ("factor", _poly_matrix("poly:Q:T", [[[0], True]]),
      "bad rational encoding True"),
+    # nor are they a root index or a letter sign, and nor is 1.0
+    ("k2-check", {"schema": serialize.SCHEMA_WORD, "n": 3, "ring": "Q",
+                  "letters": [[True, 2, "1"], [1, 2, "-1"]]},
+     "root indices must be integers, got (True, 2)"),
+    ("k2-check", {"schema": serialize.SCHEMA_WORD, "n": 3, "ring": "Q",
+                  "letters": [[1, 2, "1", 1.0], [1, 2, "1", -1.0]]},
+     "letter sign must be +-1, got 1.0"),
+    ("k2-check", {"schema": serialize.SCHEMA_WORD, "n": 3, "ring": "Q",
+                  "letters": [[1, 2, "1", -1.0]]},
+     "letter sign must be +-1, got -1.0"),
+    ("k2-check", {"schema": serialize.SCHEMA_WORD, "n": 3, "ring": "Q",
+                  "letters": [[1, 2, "1", True]]},
+     "letter sign must be +-1, got True"),
 ])
 def test_decoder_errors_name_the_bad_node_with_exit_2(tmp_path, capsys,
                                                       command, doc, error):

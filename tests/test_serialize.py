@@ -16,7 +16,7 @@ def test_ring_descriptors_roundtrip():
     # every descriptor kind parses to the one object of its ring
     for ring in (QQ, GF(7), GF(9), PolyRing(QQ, ("T",)),
                  PolyRing(GF(7), ("X1", "X2")), PolyRing(GF(9), ("T",))):
-        assert ser.parse_ring(ser.format_ring(ring)) is ring
+        assert ser.parse_ring(ring.descriptor()) is ring
     assert ser.parse_ring("Fq:7") is GF(7)
     assert ser.parse_ring("poly:Fq:7:X1,X2") is simplex_ring(GF(7), 2)
 
@@ -90,9 +90,9 @@ def test_matrix_roundtrip_and_det_check_on_load():
     # a read is built only once its command has priced it
     read = ser.read_matrix(doc)
     with pytest.raises(ValueError, match="check_document_cost"):
-        ser.matrix_from_json(read)
+        read.build()
     ser.check_document_cost([read], factor=1)
-    assert ser.matrix_from_json(read) == m
+    assert read.build() == m
 
 
 def test_path_roundtrip():

@@ -94,10 +94,11 @@ def _verify(tmp_path, capsys, doc):
 
 
 def _eager(monkeypatch, tmp_path, capsys, doc):
-    """The reference: every factor is det-checked on load."""
-    checked = serialize.matrix_from_json
+    """The reference: every factor is det-checked on load, whatever its
+    build is asked to leave to the caller."""
+    build = serialize.Read.build
     with monkeypatch.context() as m:
-        m.setattr(serialize, "matrix_from_json", lambda d, **_: checked(d))
+        m.setattr(serialize.Read, "build", lambda read, *_: build(read))
         return _verify(tmp_path, capsys, doc)
 
 
